@@ -41,6 +41,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import InvariantViolation
+from repro.tcp import constants as C
 
 #: How many processed events between two structural audits.  Audits
 #: piggyback on the engine's event hook — they schedule nothing — so
@@ -65,6 +66,13 @@ class InvariantChecker:
                  audit_interval: int = DEFAULT_AUDIT_INTERVAL):
         if mode not in ("raise", "collect"):
             raise ValueError(f"mode must be 'raise' or 'collect', got {mode!r}")
+        # Bound here, not at module level: repro.core imports repro.tcp,
+        # which imports this module.
+        from repro.core.reno import RenoCC
+        from repro.core.vegas import VegasCC
+
+        self._reno_cls = RenoCC
+        self._vegas_cls = VegasCC
         self.mode = mode
         self.audit_interval = audit_interval
         self.violations: List[InvariantViolation] = []
@@ -73,7 +81,10 @@ class InvariantChecker:
         self._queues: List[object] = []
         self._channels: List[object] = []
         self._lans: List[object] = []
+        # Every registered connection (audited at run end) and the
+        # subset not yet seen closed (audited periodically).
         self._connections: List[object] = []
+        self._live: List[object] = []
         self._events_seen = 0
         self._last_time: Dict[int, float] = {}
         # Highest end-sequence each flow has ever put on the wire,
@@ -100,6 +111,7 @@ class InvariantChecker:
 
     def register_connection(self, conn) -> None:
         self._connections.append(conn)
+        self._live.append(conn)
 
     # ------------------------------------------------------------------
     # Violation plumbing
@@ -140,8 +152,16 @@ class InvariantChecker:
             self.audit(sim.now)
 
     def on_run_end(self, sim) -> None:
-        """Called by the engine when ``run()`` returns."""
-        self.audit(sim.now)
+        """Called by the engine when ``run()`` returns.
+
+        Unlike the periodic :meth:`audit`, this covers *every*
+        registered connection, closed ones included, so state corrupted
+        after a connection left the live list is still reported.
+        """
+        now = sim.now
+        self._audit_components(now)
+        for conn in self._connections:
+            self._audit_connection(conn, now)
         if sim.pending_events == 0:
             self._audit_drained(sim.now)
 
@@ -203,9 +223,6 @@ class InvariantChecker:
     # Congestion-window hooks (called from CongestionControl)
     # ------------------------------------------------------------------
     def on_cwnd(self, cc, old: int, new: int, now: float) -> None:
-        from repro.core.vegas import VegasCC
-        from repro.tcp import constants as C
-
         flow = getattr(cc.conn, "flow", None)
         mss = cc.conn.mss
         if new <= 0:
@@ -214,7 +231,7 @@ class InvariantChecker:
         if new > C.MAX_CWND + _CWND_SLACK_SEGMENTS * mss:
             self._fail("cwnd-bounded", now, subject=cc.name, flow=flow,
                        detail=f"cwnd {new} above MAX_CWND {C.MAX_CWND}")
-        if (isinstance(cc, VegasCC) and new > old and new - old > mss
+        if (isinstance(cc, self._vegas_cls) and new > old and new - old > mss
                 and not getattr(cc, "in_recovery", False)):
             # Vegas only ever grows additively: one segment per ACK in
             # slow start, one segment per RTT from the CAM decision.
@@ -225,13 +242,11 @@ class InvariantChecker:
                        detail=f"cwnd jumped {old} -> {new} (> 1 MSS)")
 
     def on_ssthresh(self, cc, old: int, new: int, now: float) -> None:
-        from repro.core.reno import RenoCC
-
         flow = getattr(cc.conn, "flow", None)
         if new <= 0:
             self._fail("ssthresh-positive", now, subject=cc.name, flow=flow,
                        detail=f"ssthresh set to {new}")
-        if (isinstance(cc, RenoCC) and new < old
+        if (isinstance(cc, self._reno_cls) and new < old
                 and getattr(cc, "in_recovery", False)):
             # A Reno-family controller halves when *entering* recovery
             # (or on a timeout, which terminates recovery first); a
@@ -264,7 +279,23 @@ class InvariantChecker:
     # Structural audits
     # ------------------------------------------------------------------
     def audit(self, now: float) -> None:
-        """Re-check every registered component's conservation laws."""
+        """Re-check every component's and open connection's invariants.
+
+        A connection found closed gets this one last audit and then
+        leaves the live list, so the periodic cost follows the open
+        connections rather than every connection the run ever opened.
+        Its send/ACK/segment hooks keep checking it, and
+        :meth:`on_run_end` audits it once more.
+        """
+        self._audit_components(now)
+        live = []
+        for conn in self._live:
+            self._audit_connection(conn, now)
+            if not conn.is_closed:
+                live.append(conn)
+        self._live = live
+
+    def _audit_components(self, now: float) -> None:
         self.audits += 1
         for queue in self._queues:
             self._audit_queue(queue, now)
@@ -272,8 +303,6 @@ class InvariantChecker:
             self._audit_channel(channel, now)
         for lan in self._lans:
             self._audit_lan(lan, now)
-        for conn in self._connections:
-            self._audit_connection(conn, now)
 
     def _audit_queue(self, queue, now: float) -> None:
         depth = len(queue)

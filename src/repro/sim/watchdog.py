@@ -55,8 +55,10 @@ class LivenessWatchdog:
 
     Registered connections must expose ``liveness_progress()`` (a
     monotone counter that moves whenever the connection advances),
-    ``has_unfinished_work()`` and ``liveness_snapshot()`` — see
-    :class:`repro.tcp.connection.TCPConnection`.
+    ``has_unfinished_work()``, ``liveness_snapshot()``, ``is_closed``
+    and ``aborted`` — see :class:`repro.tcp.connection.TCPConnection`.
+    Audits scan only the connections not yet cleanly closed, so their
+    cost follows the open connections, not the run's history.
     """
 
     def __init__(self, stall_after: float = DEFAULT_STALL_AFTER,
@@ -66,35 +68,56 @@ class LivenessWatchdog:
                 f"stall_after must be positive, got {stall_after}")
         self.stall_after = stall_after
         self.check_every = max(1, int(check_every))
+        self._reset(0.0)
+
+    def _reset(self, now: float) -> None:
+        # Every registered connection (for snapshots), the subset still
+        # scanned by audits, and the summed final progress of the
+        # cleanly closed connections that left that subset.
         self._connections: List[Any] = []
+        self._live: List[Any] = []
+        self._retired = 0
         self._tick = 0
         self._last_progress = -1
-        self._since = 0.0
+        self._since = now
 
     # ------------------------------------------------------------------
     # Registration (construction-time, like the invariant checker)
     # ------------------------------------------------------------------
     def register_simulator(self, sim) -> None:
         """A fresh simulator starts a fresh liveness episode."""
-        self._connections = []
-        self._tick = 0
-        self._last_progress = -1
-        self._since = sim.now
+        self._reset(sim.now)
 
     def register_connection(self, conn) -> None:
         self._connections.append(conn)
+        self._live.append(conn)
 
     # ------------------------------------------------------------------
     # Progress model
     # ------------------------------------------------------------------
     def _progress(self) -> int:
-        total = 0
-        for conn in self._connections:
-            total += conn.liveness_progress()
+        """Summed progress of every registered connection.
+
+        A connection that closed cleanly can never move again (CLOSED
+        is terminal and only re-ACKs), so its final progress folds into
+        :attr:`_retired` and the audit stops scanning it.  Aborted
+        connections stay: they are unfinished forever.
+        """
+        total = self._retired
+        live = []
+        for conn in self._live:
+            progress = conn.liveness_progress()
+            total += progress
+            if conn.is_closed and not conn.aborted:
+                self._retired += progress
+            else:
+                live.append(conn)
+        self._live = live
         return total
 
     def _unfinished(self) -> List[Any]:
-        return [c for c in self._connections if c.has_unfinished_work()]
+        # Retired connections are closed and not aborted: never unfinished.
+        return [c for c in self._live if c.has_unfinished_work()]
 
     def snapshot(self) -> List[Dict[str, Any]]:
         """Per-connection diagnostic state, unfinished connections first."""

@@ -11,9 +11,13 @@ import pytest
 from repro.checks import InvariantChecker, activate, active, checking, deactivate
 from repro.core.registry import make_cc
 from repro.errors import InvariantViolation, ReproError, SimulationError
+from repro.faults.runtime import injecting
+from repro.harness import Cell
+from repro.harness.registry import run_cell
 from repro.net.addresses import FlowId
 from repro.net.queue import DropTailQueue
 from repro.sim.engine import Simulator
+from repro.sim.watchdog import LivenessWatchdog, watching
 from repro.units import kb
 
 from fakes import FakeConnection
@@ -408,3 +412,106 @@ class TestCollectModeAndReport:
             sim.schedule(1.0, lambda: None)
             sim.run()
         assert chk.audits >= 1
+
+
+class TestClosedConnections:
+    """Periodic audits scan only open connections; closed ones stay covered."""
+
+    def _closed_transfer(self):
+        chk = InvariantChecker(mode="collect")
+        with checking(chk):
+            pair = make_pair()
+            run_transfer(pair, kb(16), cc=make_cc("reno"))
+        conns = list(chk._connections)
+        assert len(conns) == 2 and all(c.is_closed for c in conns)
+        assert chk.violations == []
+        return chk, pair, conns
+
+    def _rerun(self, pair):
+        """Run the (drained) simulator once more, ending with its run-end audit."""
+        pair.sim.schedule(1.0, lambda: None)
+        pair.sim.run()
+
+    def test_closing_audit_checks_then_retires(self):
+        chk, pair, conns = self._closed_transfer()
+        assert chk._live == conns           # closed since the last audit
+        sender = conns[0]
+        sender.snd_nxt = sender.snd_una - 1
+        chk.audit(pair.sim.now)             # last periodic audit of both
+        assert [v.invariant for v in chk.violations] == ["sequence-space"]
+        assert chk._live == []
+
+    def test_sendbuf_corruption_after_retirement_caught_at_run_end(self):
+        chk, pair, conns = self._closed_transfer()
+        chk.audit(pair.sim.now)
+        assert chk._live == []
+        sendbuf = conns[0].sendbuf
+        sendbuf.queued_end = sendbuf.una + sendbuf.capacity + 1
+        chk.audit(pair.sim.now)
+        assert chk.violations == []         # retired: periodic audits skip it
+        self._rerun(pair)
+        assert [v.invariant for v in chk.violations] == ["sendbuf-occupancy"]
+
+    def test_sequence_corruption_after_retirement_caught_at_run_end(self):
+        chk, pair, conns = self._closed_transfer()
+        chk.audit(pair.sim.now)
+        receiver = conns[1]
+        receiver.snd_nxt = receiver.snd_una - 1
+        self._rerun(pair)
+        names = [v.invariant for v in chk.violations]
+        assert names and set(names) == {"sequence-space"}
+        assert all(v.flow == receiver.flow for v in chk.violations)
+
+
+class _ReferenceWatchdog(LivenessWatchdog):
+    """Re-derives every audit's progress sum from a full scan."""
+
+    def __init__(self):
+        super().__init__()
+        self.audits = 0
+        self.mismatches = []
+        self.peak_open = 0
+
+    def _progress(self):
+        total = super()._progress()
+        registered = self._connections
+        reference = sum(conn.liveness_progress() for conn in registered)
+        if total != reference:
+            self.mismatches.append((self.audits, total, reference))
+        self.audits += 1
+        self.peak_open = max(self.peak_open,
+                             sum(not conn.is_closed for conn in registered))
+        return total
+
+
+@pytest.fixture(scope="module")
+def armed_table2():
+    """The table2 vegas-1,3 cell with faults, checks and watchdog armed."""
+    chk = InvariantChecker(mode="collect")
+    guard = _ReferenceWatchdog()
+    cell = Cell.make("table2", proto="vegas-1,3", buffers=10, seed=0)
+    with checking(chk), injecting("light"), watching(guard):
+        metrics = run_cell(cell)
+    return metrics, chk, guard
+
+
+class TestArmedTable2:
+    def test_outputs_exact(self, armed_table2):
+        metrics, chk, _ = armed_table2
+        assert metrics["events_processed"] == 372988
+        assert chk.violations == []
+
+    def test_progress_equals_full_scan_at_every_audit(self, armed_table2):
+        _, _, guard = armed_table2
+        assert guard.audits == 372988 // guard.check_every
+        assert guard.mismatches == []
+        assert guard._retired > 0
+
+    def test_live_lists_track_open_connections(self, armed_table2):
+        # A count, not a timing: the periodic scans must cover at most
+        # the connections open at once, not every one the run opened.
+        _, chk, guard = armed_table2
+        assert len(chk._connections) == len(guard._connections) == 2144
+        assert 0 < guard.peak_open < 100
+        assert len(chk._live) <= guard.peak_open
+        assert len(guard._live) <= guard.peak_open

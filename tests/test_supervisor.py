@@ -149,9 +149,12 @@ class TestBackoff:
 class _FakeConn:
     """Minimal object satisfying the watchdog's liveness protocol."""
 
-    def __init__(self, unfinished=True):
+    def __init__(self, unfinished=True, flow="fake"):
         self.progress = 0
         self.unfinished = unfinished
+        self.flow = flow
+        self.is_closed = False
+        self.aborted = False
 
     def liveness_progress(self):
         return self.progress
@@ -160,8 +163,22 @@ class _FakeConn:
         return self.unfinished
 
     def liveness_snapshot(self):
-        return {"flow": "fake", "unfinished": self.unfinished,
+        return {"flow": self.flow, "unfinished": self.unfinished,
                 "progress": self.progress}
+
+    def close(self, aborted=False):
+        """Reach CLOSED; an abort leaves the work unfinished forever."""
+        self.is_closed = True
+        self.aborted = aborted
+        self.unfinished = aborted
+
+
+def _ticker(sim):
+    """Keep the heap busy forever: one event every 10 ms."""
+    def tick():
+        sim.schedule(0.01, tick)
+
+    tick()
 
 
 class TestWatchdog:
@@ -173,11 +190,7 @@ class TestWatchdog:
         with watching(stall_after=5.0) as guard:
             sim = Simulator()
             guard.register_connection(_FakeConn(unfinished=True))
-
-            def tick():
-                sim.schedule(0.01, tick)
-
-            tick()
+            _ticker(sim)
             with pytest.raises(SimulationStalled) as info:
                 sim.run(until=100.0)
         exc = info.value
@@ -242,6 +255,89 @@ class TestWatchdog:
         guarded_events = engine.last_simulator().events_processed
         assert plain.throughput_kbps == guarded.throughput_kbps
         assert plain_events == guarded_events
+
+    def test_retired_progress_still_counts(self):
+        # Folding a closed connection into the retired total must leave
+        # the audited sum unchanged, or retirement would read as motion.
+        guard = LivenessWatchdog()
+        done = _FakeConn(unfinished=False, flow="done")
+        busy = _FakeConn(unfinished=True, flow="busy")
+        guard.register_connection(done)
+        guard.register_connection(busy)
+        done.progress, busy.progress = 100, 5
+        assert guard._progress() == 105
+        done.close()
+        assert guard._progress() == 105     # retires *done*
+        assert guard._live == [busy]
+        assert guard._progress() == 105     # read from the retired total
+        busy.progress = 9
+        assert guard._progress() == 109
+
+    def test_aborted_connection_is_never_retired_and_drains_stalled(self):
+        with watching(stall_after=60.0) as guard:
+            sim = Simulator()
+            lost = _FakeConn(unfinished=True, flow="lost")
+            guard.register_connection(lost)
+            lost.close(aborted=True)
+            for step in range(1, 200):
+                sim.schedule(step * 0.01, lambda: None)
+            with pytest.raises(SimulationStalled) as info:
+                sim.run(until=100.0)
+        assert info.value.reason == "queue-drained"
+        assert guard._live == [lost]
+        assert guard._retired == 0
+
+    def test_aborted_connection_still_trips_no_progress(self):
+        with watching(stall_after=5.0) as guard:
+            sim = Simulator()
+            lost = _FakeConn(unfinished=True, flow="lost")
+            guard.register_connection(lost)
+            lost.progress = 7
+            lost.close(aborted=True)
+            _ticker(sim)
+            with pytest.raises(SimulationStalled) as info:
+                sim.run(until=100.0)
+        assert info.value.reason == "no-progress"
+        assert guard._live == [lost]
+
+    def test_real_abort_stays_live_and_stalls(self):
+        from repro.apps.bulk import BulkSink, BulkTransfer
+        from repro.core.registry import make_cc
+        from repro.units import kb
+
+        from helpers import make_pair
+
+        with watching(stall_after=5.0) as guard:
+            pair = make_pair()
+            BulkSink(pair.proto_b, 9000)
+            transfer = BulkTransfer(pair.proto_a, "B", 9000, kb(64),
+                                    cc=make_cc("reno"))
+            pair.sim.schedule(1.0, transfer.conn._abort)
+            with pytest.raises(SimulationStalled) as info:
+                pair.sim.run(until=300.0)
+        assert info.value.reason == "no-progress"
+        assert transfer.conn.is_closed and transfer.conn.aborted
+        assert transfer.conn in guard._live
+        aborted = [e for e in info.value.snapshot if e["aborted"]]
+        assert len(aborted) == 1 and aborted[0]["unfinished"]
+
+    def test_stall_snapshot_lists_every_registered_connection(self):
+        with watching(stall_after=5.0) as guard:
+            sim = Simulator()
+            conns = [_FakeConn(unfinished=True, flow=f"c{i}")
+                     for i in range(4)]
+            for conn in conns:
+                guard.register_connection(conn)
+            conns[0].close()
+            conns[1].close()
+            _ticker(sim)
+            with pytest.raises(SimulationStalled) as info:
+                sim.run(until=100.0)
+        assert guard._live == conns[2:]
+        flows = sorted(entry["flow"] for entry in info.value.snapshot)
+        assert flows == ["c0", "c1", "c2", "c3"]
+        assert [e["unfinished"] for e in info.value.snapshot] == [
+            True, True, False, False]
 
     def test_activation_is_exclusive_and_idempotent(self):
         with watching(stall_after=1.0):
