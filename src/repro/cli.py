@@ -347,8 +347,8 @@ def _cmd_run_all(args) -> int:
 
     print(aggregate.summarize(doc["cells"]))
     print()
-    print(f"{total} cells, jobs={report.jobs}, "
-          f"{report.elapsed_s:.1f}s elapsed "
+    print(f"{total} cells ({report.simulations} simulations run), "
+          f"jobs={report.jobs}, {report.elapsed_s:.1f}s elapsed "
           f"(cell wall clock {doc['run']['cell_wall_clock_s']:.1f}s); "
           f"cache: {report.cache_hits} hits / {report.cache_misses} misses")
     print(f"cell fingerprint: {artifacts.cells_fingerprint(doc)}")

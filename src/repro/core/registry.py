@@ -12,12 +12,17 @@ whether a name is a parameter variant of another scheme.  The arena
 (:mod:`repro.arena`) uses this to build its tournament roster —
 :func:`arena_roster` — without hard-coding the scheme list a second
 time.
+
+:func:`canonical_name` maps every name onto the first registered name
+whose controller is indistinguishable from it at construction (same
+class, same initial state), so ``"vegas-2,4"`` and ``"vegas"`` are one
+protocol.  The harness keys its run specs on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.base import CongestionControl
 from repro.core.card import CardCC
@@ -94,6 +99,7 @@ def register(name: str, builder: Callable[[], CongestionControl],
     unclassified ``signal="none"`` entry.
     """
     _BUILDERS[name] = builder
+    _CANONICAL.clear()
     if info is not None:
         _INFO[name] = info
     elif name not in _INFO:
@@ -137,3 +143,42 @@ def cc_factory(name: str) -> Callable[[], CongestionControl]:
 def make_cc(name: str) -> CongestionControl:
     """Instantiate the named controller."""
     return cc_factory(name)()
+
+
+#: name -> canonical name, rebuilt lazily after any registration.
+_CANONICAL: Dict[str, str] = {}
+
+_PLAIN = (type(None), bool, int, float, str)
+
+
+def _identity(name: str) -> Tuple[Any, ...]:
+    """A fresh controller's class and initial state, or the name itself.
+
+    State that is not plain data cannot be compared, so such a
+    controller is only ever identical to itself.
+    """
+    cc = make_cc(name)
+    state = vars(cc)
+    if not all(isinstance(value, _PLAIN) for value in state.values()):
+        return ("name", name)
+    return (type(cc), tuple(sorted(state.items())))
+
+
+def canonical_name(name: str) -> str:
+    """The first registered name that builds the same controller as *name*.
+
+    Two names are one protocol when their fresh controllers have the
+    same class and the same initial state: ``"vegas-2,4"`` is
+    ``"vegas"`` (Vegas' default band is α=2, β=4), while
+    ``"vegas-1,3"`` stays itself.  Registration order decides which
+    spelling is canonical.
+    """
+    if not _CANONICAL:
+        first: Dict[Tuple[Any, ...], str] = {}
+        for other in _BUILDERS:
+            _CANONICAL[other] = first.setdefault(_identity(other), other)
+    try:
+        return _CANONICAL[name]
+    except KeyError:
+        cc_factory(name)          # raises the standard unknown-name error
+        raise

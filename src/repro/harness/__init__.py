@@ -8,10 +8,12 @@ through one pipeline:
 
 - :mod:`repro.harness.registry` — the scenario registry: every
   experiment's quick/full grids as :class:`~repro.harness.registry.Cell`
-  objects with stable string keys.
-- :mod:`repro.harness.runner` — executes cells serially or on a
+  objects with stable string keys, each a view over the
+  :class:`~repro.harness.registry.RunSpec` of the simulation it needs.
+- :mod:`repro.harness.runner` — groups the cells to compute by run
+  spec and executes one simulation per group, serially or on a
   ``multiprocessing`` pool; results are bit-identical either way
-  because each cell builds its own :class:`~repro.sim.engine.Simulator`
+  because each run builds its own :class:`~repro.sim.engine.Simulator`
   from its own seed.
 - :mod:`repro.harness.supervisor` — supervised execution: per-cell
   wall-clock deadlines, crash quarantine, deterministic retries, and
@@ -42,14 +44,21 @@ from repro.harness.artifacts import (
 from repro.harness.cache import ResultCache, compute_src_hash
 from repro.harness.registry import (
     Cell,
+    RunSpec,
+    View,
     all_cells,
     cell_budget,
+    cell_spec,
     cells_for,
+    group_cells,
     register_experiment,
+    register_scenario,
     register_timeout_hint,
     run_cell,
+    run_group,
     timeout_hint,
     unregister_experiment,
+    unregister_scenario,
 )
 from repro.harness.runner import CellResult, RunReport, run_cells
 from repro.harness.supervisor import (
@@ -68,21 +77,28 @@ __all__ = [
     "FailureRecord",
     "ResultCache",
     "RunReport",
+    "RunSpec",
     "SuccessRecord",
+    "View",
     "all_cells",
     "build_document",
     "cell_budget",
+    "cell_spec",
     "cells_fingerprint",
     "cells_for",
     "compute_src_hash",
+    "group_cells",
     "load_document",
     "register_experiment",
+    "register_scenario",
     "register_timeout_hint",
     "retry_backoff",
     "run_cell",
     "run_cells",
+    "run_group",
     "run_supervised",
     "timeout_hint",
     "unregister_experiment",
+    "unregister_scenario",
     "write_document",
 ]

@@ -6,8 +6,9 @@ cache accounting, wall clock).  Determinism contract: for the same
 source tree and cells, the ``cells`` array is byte-identical across
 ``--jobs`` settings, across cached/uncached runs, **and across
 execution backends** (local pool vs the distributed master) except for
-the ``wall_clock_s``/``cached`` bookkeeping and the v3 provenance
-fields (``worker``/``attempts``/``attempt_log``), which is why
+the ``wall_clock_s``/``cached`` bookkeeping and the provenance fields
+(v3's ``worker``/``attempts``/``attempt_log``, v4's ``shared_with``),
+which is why
 :func:`cells_fingerprint` — the hash CI compares — covers only the
 deterministic fields.
 
@@ -17,6 +18,13 @@ supervised runner's quarantine manifest (see
 timed out, crashed, diverged or violated an invariant after its
 retries were exhausted.  Failures never enter the fingerprint; they
 describe what could *not* be computed.
+
+Since v4 cells are views over run specs: a cell whose metrics were
+projected from another cell's simulation records that run's leader in
+``shared_with``, and its ``wall_clock_s`` is only its own projection,
+so ``elapsed_s`` minus the summed cell wall clock is still the
+harness overhead.  ``run.simulations`` counts the distinct specs the
+sweep executed.
 """
 
 from __future__ import annotations
@@ -32,13 +40,15 @@ from repro.errors import ReproError
 #: quarantine manifest); v3 adds per-cell execution provenance —
 #: ``worker`` (the executing distributed worker, ``null`` locally),
 #: ``attempts`` and ``attempt_log`` (retry history) — plus the run's
-#: ``backend`` and ``interrupted`` markers.  Older documents are still
+#: ``backend`` and ``interrupted`` markers; v4 adds per-cell
+#: ``shared_with`` (the leader whose simulation served the cell) and
+#: the run's ``simulations`` count.  Older documents are still
 #: readable; they simply predate those fields.
-SCHEMA_VERSION = "repro-harness/v3"
+SCHEMA_VERSION = "repro-harness/v4"
 
 #: Versions :func:`load_document` accepts.
 COMPATIBLE_VERSIONS = ("repro-harness/v1", "repro-harness/v2",
-                       "repro-harness/v3")
+                       "repro-harness/v3", "repro-harness/v4")
 
 
 def build_document(report, mode: str, src_hash: str,
@@ -61,6 +71,7 @@ def build_document(report, mode: str, src_hash: str,
             "worker": getattr(result, "worker", None),
             "attempts": getattr(result, "attempts", 1),
             "attempt_log": list(getattr(result, "attempt_log", ()) or ()),
+            "shared_with": getattr(result, "shared_with", None),
         })
     failures = [f.as_dict() for f in
                 sorted(getattr(report, "failures", ()) or (),
@@ -75,6 +86,7 @@ def build_document(report, mode: str, src_hash: str,
             "interrupted": getattr(report, "interrupted", False),
             "cache_hits": report.cache_hits,
             "cache_misses": report.cache_misses,
+            "simulations": getattr(report, "simulations", 0),
             "cells": len(cells),
             "failed": len(failures),
             "elapsed_s": report.elapsed_s,

@@ -158,6 +158,7 @@ def replay(path: str, src_hash: Optional[str] = None) -> JournalState:
                 "worker": entry.get("worker"),
                 "attempts": entry.get("attempts", 1),
                 "attempt_log": entry.get("attempt_log", []),
+                "shared_with": entry.get("shared_with"),
             }
             state.failures.pop(key, None)
         elif rec == "quarantine":

@@ -2,7 +2,10 @@
 
 A **lease** is the unit of fault tolerance: a cell is never *sent* to
 a worker, it is *leased* — granted with a deadline sized from the
-cell's budget (per-cell timeout hints included) plus grace.  Whatever
+cell's budget (per-cell timeout hints included) plus grace.  A lease
+covers one simulation: the group of cells sharing a run spec (see
+:func:`~repro.harness.registry.group_cells`), with the largest member
+budget; a group that fails fails every member.  Whatever
 happens to the worker afterwards, the master's view stays consistent:
 
 * the worker returns a result before the deadline → the lease settles
@@ -32,10 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.harness.registry import Cell, cell_budget
+from repro.harness.registry import Cell, group_budget, group_cells
 from repro.harness.supervisor import (
     DEFAULT_BACKOFF_BASE,
     FailureRecord,
+    member_failures,
     retry_backoff,
 )
 from repro.harness.dist.protocol import DEFAULT_LEASE_GRACE_S
@@ -43,14 +47,19 @@ from repro.harness.dist.protocol import DEFAULT_LEASE_GRACE_S
 
 @dataclass
 class DistTask:
-    """One cell's book-keeping across grants, mirroring the local
+    """One group's book-keeping across grants, mirroring the local
     supervisor's ``_Task``."""
 
-    cell: Cell
+    cells: Tuple[Cell, ...]
     attempts: int = 0
     not_before: float = 0.0       # backoff gate (master's clock)
     wall_clock_s: float = 0.0
     attempt_log: List[Dict[str, Any]] = field(default_factory=list)
+
+    @property
+    def cell(self) -> Cell:
+        """The leader: the cell whose key names the run."""
+        return self.cells[0]
 
     @property
     def key(self) -> str:
@@ -97,13 +106,13 @@ class LeaseTable:
         # fingerprints stay backend-independent (results are re-sorted
         # by key downstream).  ``None`` budgets (unsupervised runs) are
         # unbounded, so they sort first.
-        def _declared(cell: Cell) -> float:
-            budget = cell_budget(cell, timeout_s)
+        def _declared(group: Tuple[Cell, ...]) -> float:
+            budget = group_budget(group, timeout_s)
             return float("inf") if budget is None else budget
 
         self.pending: List[DistTask] = [
-            DistTask(cell)
-            for cell in sorted(cells, key=_declared, reverse=True)]
+            DistTask(group) for group in
+            sorted(group_cells(cells), key=_declared, reverse=True)]
         self.leases: Dict[str, Lease] = {}
         self.successes: List[Tuple[DistTask, Dict[str, float], float, str]] = []
         self.failures: List[FailureRecord] = []
@@ -120,7 +129,7 @@ class LeaseTable:
         return not self.pending and not self.leases
 
     def outstanding(self) -> int:
-        """Cells not yet settled (pending + leased)."""
+        """Groups not yet settled (pending + leased)."""
         return len(self.pending) + len(self.leases)
 
     def next_due(self, now: float) -> Optional[DistTask]:
@@ -146,7 +155,7 @@ class LeaseTable:
             return None
         task.attempts += 1
         self._next_lease += 1
-        budget = cell_budget(task.cell, self.timeout_s)
+        budget = group_budget(task.cells, self.timeout_s)
         deadline = (float("inf") if budget is None
                     else now + budget + self.lease_grace_s)
         lease = Lease(lease_id=f"L{self._next_lease}", task=task,
@@ -215,11 +224,9 @@ class LeaseTable:
             task.not_before = now + backoff
             self.pending.append(task)
             return ("retry", backoff)
-        self.failures.append(FailureRecord(
-            key=task.key, experiment=task.cell.experiment, kind=kind,
-            message=message, attempts=task.attempts,
-            wall_clock_s=task.wall_clock_s, detail=detail,
-            attempt_log=task.attempt_log))
+        self.failures.extend(member_failures(
+            task.cells, kind, message, task.attempts, task.wall_clock_s,
+            detail, task.attempt_log))
         return ("quarantine", 0.0)
 
     # ------------------------------------------------------------------

@@ -53,6 +53,8 @@ from repro.harness.supervisor import (
     DEFAULT_RETRIES,
     FailureRecord,
     SuccessRecord,
+    member_records,
+    progress_line,
     run_supervised,
 )
 
@@ -226,12 +228,12 @@ class _Master:
             self._say(f"{task.key}: {kind} on attempt {entry['attempt']}, "
                       f"retrying in {backoff:.2f}s")
         else:
-            failure = self.table.failures[-1]
-            self._rec("quarantine", failure=failure.as_dict())
-            self._emit("dist.quarantine", cell=task.key, kind=kind,
-                       attempts=failure.attempts)
-            self._say(f"{task.key}: FAILED ({kind}) after "
-                      f"{failure.attempts} attempt(s)")
+            for failure in self.table.failures[-len(task.cells):]:
+                self._rec("quarantine", failure=failure.as_dict())
+                self._emit("dist.quarantine", cell=failure.key, kind=kind,
+                           attempts=failure.attempts)
+                self._say(f"{failure.key}: FAILED ({kind}) after "
+                          f"{failure.attempts} attempt(s)")
 
     # ------------------------------------------------------------------
     # Connection handling (one coroutine per worker)
@@ -285,6 +287,9 @@ class _Master:
     def _on_result(self, worker: _Worker, message: Dict[str, Any]) -> None:
         if worker.lease_id == message.get("lease_id"):
             worker.lease_id = None
+        lease = self.table.leases.get(message["lease_id"])
+        outcomes = (protocol.outcomes_from_result(message, lease.task.cells)
+                    if lease is not None else None)
         task = self.table.settle_ok(message["lease_id"], worker.worker_id,
                                     message["metrics"],
                                     message["wall_clock_s"])
@@ -292,17 +297,19 @@ class _Master:
             self._emit("dist.stale", worker=worker.worker_id,
                        key=message.get("key"))
             return
-        record = SuccessRecord(
-            cell=task.cell, metrics=message["metrics"],
-            wall_clock_s=message["wall_clock_s"], worker=worker.worker_id,
-            attempts=task.attempts, attempt_log=list(task.attempt_log))
-        self.successes.append(record)
+        records = member_records(task.cells, outcomes,
+                                 worker=worker.worker_id,
+                                 attempts=task.attempts,
+                                 attempt_log=task.attempt_log)
+        self.successes.extend(records)
         self.results_seen += 1
-        self._rec("result", key=task.key, metrics=record.metrics,
-                  wall_clock_s=record.wall_clock_s, worker=record.worker,
-                  attempts=record.attempts, attempt_log=record.attempt_log)
-        note = " (retry)" if task.attempts > 1 else ""
-        self._say(f"{task.key}: {record.wall_clock_s:.2f}s{note}")
+        for record in records:
+            self._rec("result", key=record.key, metrics=record.metrics,
+                      wall_clock_s=record.wall_clock_s, worker=record.worker,
+                      attempts=record.attempts,
+                      attempt_log=record.attempt_log,
+                      shared_with=record.shared_with)
+            self._say(progress_line(record))
         self._maybe_chaos_kill()
 
     def _on_fail(self, worker: _Worker, message: Dict[str, Any]) -> None:
@@ -371,7 +378,8 @@ class _Master:
             message = protocol.grant(
                 lease.lease_id, lease.task.cell, lease.attempt,
                 lease.budget_s, checks=self.checks, faults=self.faults_spec,
-                watchdog=self.watchdog_spec, telemetry=self.telemetry)
+                watchdog=self.watchdog_spec, telemetry=self.telemetry,
+                shared=lease.task.cells[1:])
             try:
                 worker.writer.write(protocol.encode(message))
                 await worker.writer.drain()
@@ -505,7 +513,8 @@ def _replayed_records(cells: Sequence[Cell], state
                 cell=cell, metrics=entry["metrics"],
                 wall_clock_s=entry["wall_clock_s"], worker=entry["worker"],
                 attempts=entry["attempts"],
-                attempt_log=list(entry["attempt_log"])))
+                attempt_log=list(entry["attempt_log"]),
+                shared_with=entry.get("shared_with")))
         elif cell.key in state.failures:
             entry = state.failures[cell.key]
             failures.append(FailureRecord(
@@ -514,7 +523,8 @@ def _replayed_records(cells: Sequence[Cell], state
                 attempts=entry["attempts"],
                 wall_clock_s=entry["wall_clock_s"],
                 detail=entry.get("detail", {}),
-                attempt_log=entry.get("attempt_log", [])))
+                attempt_log=entry.get("attempt_log", []),
+                shared_with=entry.get("shared_with")))
         else:
             remainder.append(cell)
     return successes, failures, remainder
@@ -620,7 +630,7 @@ def run_distributed(cells: Sequence[Cell],
     failures = replayed_fail + list(table.failures)
 
     if master.degraded and not interrupted:
-        remaining = [task.cell for task in table.pending]
+        remaining = [cell for task in table.pending for cell in task.cells]
         if remaining:
             if progress is not None:
                 progress(f"warning: no reachable dist workers — degrading "
@@ -643,7 +653,8 @@ def run_distributed(cells: Sequence[Cell],
                 master._rec("result", key=record.key, metrics=record.metrics,
                             wall_clock_s=record.wall_clock_s, worker=None,
                             attempts=record.attempts,
-                            attempt_log=record.attempt_log)
+                            attempt_log=record.attempt_log,
+                            shared_with=record.shared_with)
             for failure in local_fail:
                 master._rec("quarantine", failure=failure.as_dict())
 

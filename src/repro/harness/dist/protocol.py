@@ -18,35 +18,40 @@ Worker -> master:
                 increasing).  A worker that misses enough beats is
                 declared dead and its leases are revoked.
 ``result``      a completed cell: ``lease_id``, ``key``, ``metrics``,
-                ``wall_clock_s``.
+                ``wall_clock_s``, plus ``shared``: the same three
+                fields for every other member of the leased group.
 ``fail``        a cell whose execution raised: ``lease_id``, ``key``,
                 plus the supervisor taxonomy fields ``kind`` /
                 ``message`` / ``detail`` and ``wall_clock_s``.
 
 Master -> worker:
 
-``grant``       a lease: the cell (``experiment`` + ``params``), the
-                ``lease_id``, the ``attempt`` number, the lease
-                ``budget_s``, and the run configuration the worker
-                must apply (``checks``/``faults``/``watchdog``/
-                ``telemetry``).
+``grant``       a lease: the leading cell (``experiment`` +
+                ``params``), the other cells that share its run
+                (``shared``: ``experiment`` + ``params`` + ``key``
+                each), the ``lease_id``, the ``attempt`` number, the
+                lease ``budget_s``, and the run configuration the
+                worker must apply (``checks``/``faults``/
+                ``watchdog``/``telemetry``).
 ``shutdown``    no more work (or an immediate drain): exit now.
 
 Cells cross the wire as ``(experiment, params)`` and are rebuilt with
 :meth:`repro.harness.registry.Cell.make`, so a grant round-trips to
-the exact same cell key the master leased.
+the exact same cell keys the master leased.  A lease covers one
+simulation: the group of cells sharing a run spec (see
+:func:`repro.harness.registry.group_cells`), led by its first cell.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.harness.registry import Cell
 
 #: Bump on any incompatible message change; checked at ``hello``.
-PROTOCOL_VERSION = "repro-dist/v1"
+PROTOCOL_VERSION = "repro-dist/v2"
 
 #: Seconds between worker heartbeats.
 DEFAULT_HEARTBEAT_INTERVAL_S = 0.5
@@ -101,21 +106,31 @@ def heartbeat(worker_id: str, seq: int) -> Dict[str, Any]:
     return {"type": "heartbeat", "worker_id": worker_id, "seq": seq}
 
 
+def _wire_cell(cell: Cell) -> Dict[str, Any]:
+    return {"experiment": cell.experiment, "params": cell.as_dict(),
+            "key": cell.key}
+
+
 def grant(lease_id: str, cell: Cell, attempt: int,
           budget_s: Optional[float], checks: Any = False,
           faults: Optional[str] = None, watchdog: Any = False,
-          telemetry: Optional[str] = None) -> Dict[str, Any]:
-    return {"type": "grant", "lease_id": lease_id,
-            "experiment": cell.experiment, "params": cell.as_dict(),
-            "key": cell.key, "attempt": attempt, "budget_s": budget_s,
-            "checks": checks, "faults": faults, "watchdog": watchdog,
-            "telemetry": telemetry}
+          telemetry: Optional[str] = None,
+          shared: Sequence[Cell] = ()) -> Dict[str, Any]:
+    return dict(_wire_cell(cell), type="grant", lease_id=lease_id,
+                attempt=attempt, budget_s=budget_s, checks=checks,
+                faults=faults, watchdog=watchdog, telemetry=telemetry,
+                shared=[_wire_cell(member) for member in shared])
 
 
 def result(worker_id: str, lease_id: str, key: str,
-           metrics: Dict[str, float], wall_clock_s: float) -> Dict[str, Any]:
+           metrics: Dict[str, float], wall_clock_s: float,
+           shared: Sequence[Tuple[str, Dict[str, float], float]] = (),
+           ) -> Dict[str, Any]:
     return {"type": "result", "worker_id": worker_id, "lease_id": lease_id,
-            "key": key, "metrics": metrics, "wall_clock_s": wall_clock_s}
+            "key": key, "metrics": metrics, "wall_clock_s": wall_clock_s,
+            "shared": [{"key": member, "metrics": values,
+                        "wall_clock_s": wall}
+                       for member, values, wall in shared]}
 
 
 def fail(worker_id: str, lease_id: str, key: str, kind: str,
@@ -144,6 +159,28 @@ def cell_from_grant(message: Dict[str, Any]) -> Cell:
             f"grant round-trip changed the cell key: leased "
             f"{message['key']!r}, rebuilt {cell.key!r}")
     return cell
+
+
+def group_from_grant(message: Dict[str, Any]) -> Tuple[Cell, ...]:
+    """Rebuild every cell a ``grant`` covers, leader first."""
+    return tuple(cell_from_grant(entry)
+                 for entry in [message, *message.get("shared", ())])
+
+
+def outcomes_from_result(message: Dict[str, Any], cells: Sequence[Cell],
+                         ) -> List[Tuple[Dict[str, float], float]]:
+    """Each member's ``(metrics, seconds)`` from a ``result``, in order.
+
+    The keys must be the leased group's: a result for other cells
+    could otherwise be filed under the wrong cache keys.
+    """
+    entries = [message, *message.get("shared", ())]
+    keys = [entry["key"] for entry in entries]
+    if keys != [cell.key for cell in cells]:
+        raise ProtocolError(
+            f"result covers {keys!r}, lease covers "
+            f"{[cell.key for cell in cells]!r}")
+    return [(entry["metrics"], entry["wall_clock_s"]) for entry in entries]
 
 
 def check_hello(message: Dict[str, Any]) -> str:

@@ -1,10 +1,11 @@
 """The distributed sweep worker process.
 
-One worker = one process = one cell at a time.  It connects to the
+One worker = one process = one lease at a time.  It connects to the
 master, introduces itself with ``hello``, then loops: read a ``grant``,
-run the cell through the exact same :func:`~repro.harness.registry.run_cell`
-path as every other backend, and report ``result`` or ``fail`` using
-the supervisor's failure taxonomy.  A daemon thread heartbeats on the
+run the leased group's one simulation through the exact same
+:func:`~repro.harness.registry.run_group` path as every other backend,
+and report every member's ``result`` or one ``fail`` using the
+supervisor's failure taxonomy.  A daemon thread heartbeats on the
 same socket (serialised by a lock) so the master can tell "busy on a
 long cell" from "dead" — the execution thread never has to come up for
 air.
@@ -38,14 +39,18 @@ import time
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.harness.dist import protocol
-from repro.harness.registry import run_cell
+from repro.harness.registry import run_group
 from repro.harness.supervisor import classify_error
 
 
 def _run_grant(send: Callable[[Dict[str, Any]], None], worker_id: str,
                message: Dict[str, Any]) -> None:
-    """Execute one granted cell and report its outcome."""
-    cell = protocol.cell_from_grant(message)
+    """Execute one granted group and report its outcome."""
+    cells = protocol.group_from_grant(message)
+    key = cells[0].key
+    options = {"checks": message.get("checks", False),
+               "faults": message.get("faults"),
+               "watchdog": message.get("watchdog", False)}
     telemetry = message.get("telemetry")
     start = time.perf_counter()
     sink = None
@@ -55,23 +60,22 @@ def _run_grant(send: Callable[[Dict[str, Any]], None], worker_id: str,
         sink = TelemetrySink(telemetry)
     try:
         if sink is None:
-            metrics = run_cell(cell, checks=message.get("checks", False),
-                               faults=message.get("faults"),
-                               watchdog=message.get("watchdog", False))
+            outcomes = run_group(cells, **options)
         else:
-            with sink.span("cell", cell=cell.key, worker=worker_id):
-                metrics = run_cell(cell, checks=message.get("checks", False),
-                                   faults=message.get("faults"),
-                                   watchdog=message.get("watchdog", False),
-                                   telemetry=telemetry)
+            with sink.span("cell", cell=key, worker=worker_id,
+                           shared=[cell.key for cell in cells[1:]]):
+                outcomes = run_group(cells, telemetry=telemetry, **options)
     except BaseException as exc:  # noqa: BLE001 - taxonomy needs everything
         kind, text, detail = classify_error(exc)
-        send(protocol.fail(worker_id, message["lease_id"], cell.key,
+        send(protocol.fail(worker_id, message["lease_id"], key,
                            kind, text, detail,
                            time.perf_counter() - start))
     else:
-        send(protocol.result(worker_id, message["lease_id"], cell.key,
-                             metrics, time.perf_counter() - start))
+        (metrics, wall), *shared = outcomes
+        send(protocol.result(
+            worker_id, message["lease_id"], key, metrics, wall,
+            shared=[(cell.key, values, seconds) for cell, (values, seconds)
+                    in zip(cells[1:], shared)]))
     finally:
         if sink is not None:
             sink.close()

@@ -1,17 +1,21 @@
 """Scenario registry: every paper artifact decomposed into cells.
 
-A **cell** is one independent simulation run — the atom of the
-evaluation grid.  ``table2`` is 27 cells (3 protocols x 3 buffer
-counts x 3 seeds); ``figure7`` is a single traced run.  Cells carry a
-stable string key (``table2/buffers=10/proto=reno/seed=0``) used for
-caching, JSON artifacts, and the regression baseline, so the key
-format is a compatibility contract: changing it invalidates every
-cached and committed result.
+A **cell** is one grid point of the evaluation — the atom of caching,
+artifacts and the regression baseline.  ``table2`` is 27 cells (3
+protocols x 3 buffer counts x 3 seeds); ``figure7`` is a single
+traced run.  Cells carry a stable string key
+(``table2/buffers=10/proto=reno/seed=0``), so the key format is a
+compatibility contract: changing it invalidates every cached and
+committed result.
 
-Each experiment registers a *grid* (quick and full variants) and a
-*runner* that executes one cell and returns a flat ``{metric: number}``
-dict.  Runners are module-level functions so cells can cross a
-``multiprocessing`` pickle boundary.  Seeds are part of the cell
+A cell is a *view* over a **run spec** (:class:`RunSpec`): the frozen,
+hashable description of the simulation it needs.  Each experiment
+registers a grid (quick and full variants) and a :class:`View` — a
+pure ``spec(params)`` and a ``project(result, params)`` returning a
+flat ``{metric: number}`` dict.  Different cells often need the same
+simulation (Figure 9 is a Table 2 run; Figure 6 is the 50 KB sendbuf
+run), so a sweep partitions its cells with :func:`group_cells` and
+runs each spec once (:func:`run_group`).  Seeds are part of the cell
 parameters — never derived from worker identity — which is what makes
 ``--jobs 1`` and ``--jobs N`` bit-identical by construction.
 """
@@ -19,8 +23,9 @@ parameters — never derived from worker identity — which is what makes
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 
@@ -66,9 +71,198 @@ class Cell:
 
 
 # ----------------------------------------------------------------------
-# Cell runners: one function per experiment, returning flat metrics.
-# Imports are deferred so pool workers only load what their cells use.
+# Run specs: one per distinct simulation.  Every experiment is a *view*
+# over them — a spec function naming the simulation a cell needs and a
+# projection reading the cell's metrics off that simulation's result —
+# so cells that need the same simulation share one run.  Imports are
+# deferred so pool workers only load what their cells use.
 # ----------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RunSpec:
+    """One distinct simulation: everything its outcome depends on.
+
+    ``scenario`` names the simulation function (see
+    :func:`register_scenario`); ``ccs`` are its congestion controls in
+    canonical spelling (:func:`repro.core.registry.canonical_name`, so
+    ``vegas`` and ``vegas-2,4`` are one protocol); ``shape`` holds any
+    further scenario parameters as sorted pairs.  Cells with equal
+    specs run the same simulation whatever their experiments call
+    them: ``figure9/seed=0``,
+    ``table2/buffers=10/proto=vegas-2,4/seed=0`` and
+    ``table3/background=reno/buffers=10/seed=0/transfer=vegas`` are
+    one run.
+    """
+
+    scenario: str
+    ccs: Tuple[str, ...] = ()
+    buffers: Optional[int] = None
+    sndbuf: Optional[int] = None
+    seed: int = 0
+    two_way: bool = False
+    shape: Tuple[Tuple[str, Any], ...] = ()
+
+
+@dataclass(frozen=True)
+class View:
+    """How one experiment reads its cells off run specs.
+
+    ``spec(**params)`` is pure: it names the simulation a cell needs.
+    ``project(result, **params)`` turns that simulation's result into
+    a fresh flat metrics dict.  ``traced`` asks for the run to carry a
+    connection tracer; tracing never changes a run, so a traced and an
+    untraced cell of one spec still share it.
+    """
+
+    spec: Callable[..., RunSpec]
+    project: Callable[..., Dict[str, float]]
+    traced: bool = False
+
+
+def _canon(*names: str) -> Tuple[str, ...]:
+    from repro.core.registry import canonical_name
+
+    return tuple(canonical_name(name) for name in names)
+
+
+# Scenarios: spec -> result.  ``traced`` arms a ConnectionTracer on the
+# measured transfer; the result then carries it.
+
+def _simulate_solo(spec: RunSpec, traced: bool):
+    from repro.experiments.transfers import run_solo_transfer
+    from repro.trace.tracer import ConnectionTracer
+
+    (cc,) = spec.ccs
+    tracer = ConnectionTracer(cc) if traced else None
+    result = run_solo_transfer(cc, buffers=spec.buffers, seed=spec.seed,
+                               sndbuf=spec.sndbuf, tracer=tracer)
+    return tracer, result
+
+
+def _simulate_background(spec: RunSpec, traced: bool):
+    from repro.experiments.background import run_with_background
+    from repro.trace.tracer import ConnectionTracer
+
+    transfer, background = spec.ccs
+    tracer = ConnectionTracer(transfer) if traced else None
+    run = run_with_background(transfer, background_cc=background,
+                              buffers=spec.buffers, seed=spec.seed,
+                              two_way=spec.two_way, tracer=tracer)
+    return tracer, run
+
+
+def _simulate_internet(spec: RunSpec, traced: bool):
+    from repro.experiments.internet import run_internet_transfer
+
+    (cc,) = spec.ccs
+    return run_internet_transfer(cc, size=dict(spec.shape)["size"],
+                                 seed=spec.seed)
+
+
+# Specs: cell params -> RunSpec.
+
+def _solo_spec(cc: str, seed: int, size_kb: Optional[int] = None) -> RunSpec:
+    from repro.experiments import defaults as DFLT
+    from repro.units import kb
+
+    sndbuf = DFLT.SOCKBUF if size_kb is None else kb(size_kb)
+    return RunSpec("solo", _canon(cc), buffers=DFLT.DEFAULT_BUFFERS,
+                   sndbuf=sndbuf, seed=seed)
+
+
+def _background_spec(transfer: str, background: str, buffers: int,
+                     seed: int, two_way: bool = False) -> RunSpec:
+    return RunSpec("background", _canon(transfer, background),
+                   buffers=buffers, seed=seed, two_way=two_way)
+
+
+def _internet_spec(proto: str, seed: int, size_kb: int = 1024) -> RunSpec:
+    from repro.units import kb
+
+    return RunSpec("internet", _canon(proto), seed=seed,
+                   shape=(("size", kb(size_kb)),))
+
+
+def _table2_spec(proto: str, buffers: int, seed: int) -> RunSpec:
+    return _background_spec(proto, "reno", buffers, seed)
+
+
+def _twoway_spec(proto: str, buffers: int, seed: int) -> RunSpec:
+    return _background_spec(proto, "reno", buffers, seed, two_way=True)
+
+
+def _figure6_spec(seed: int) -> RunSpec:
+    return _solo_spec("reno", seed)
+
+
+def _figure7_spec(seed: int) -> RunSpec:
+    return _solo_spec("vegas", seed)
+
+
+def _figure9_spec(seed: int) -> RunSpec:
+    from repro.experiments.defaults import DEFAULT_BUFFERS
+
+    return _background_spec("vegas", "reno", DEFAULT_BUFFERS, seed)
+
+
+# Projections: (result, **params) -> metrics.
+
+def _transfer_metrics(result) -> Dict[str, float]:
+    return {
+        "throughput_kbps": result.throughput_kbps,
+        "retransmit_kb": result.retransmitted_kb,
+        "coarse_timeouts": result.coarse_timeouts,
+    }
+
+
+def _traced_metrics(tracer, result) -> Dict[str, float]:
+    from repro.trace.series import loss_lines
+
+    # TraceGraph.losses() without building the other panels.
+    metrics = _transfer_metrics(result)
+    metrics["segments_lost"] = len(loss_lines(tracer))
+    return metrics
+
+
+def _table2_metrics(result, **params) -> Dict[str, float]:
+    _, run = result
+    metrics = _transfer_metrics(run.transfer)
+    metrics["background_throughput_kbps"] = run.background_throughput_kbps
+    return metrics
+
+
+def _table3_metrics(result, **params) -> Dict[str, float]:
+    _, run = result
+    return {
+        "background_throughput_kbps": run.background_throughput_kbps,
+        "transfer_throughput_kbps": run.transfer.throughput_kbps,
+    }
+
+
+def _twoway_metrics(result, **params) -> Dict[str, float]:
+    return _transfer_metrics(result[1].transfer)
+
+
+def _figure9_metrics(result, **params) -> Dict[str, float]:
+    tracer, run = result
+    return _traced_metrics(tracer, run.transfer)
+
+
+def _figure_metrics(result, **params) -> Dict[str, float]:
+    return _traced_metrics(*result)
+
+
+def _solo_metrics(result, **params) -> Dict[str, float]:
+    return _transfer_metrics(result[1])
+
+
+def _internet_metrics(result, **params) -> Dict[str, float]:
+    return _transfer_metrics(result)
+
+
+# Runners that already return flat metrics, and runtime-registered
+# ones, are *opaque* views: their own scenario keyed by every cell
+# parameter, so they never share a run with another experiment.
 
 def _table1_cell(small: str, large: str, buffers: int, delay: float,
                  seed: int) -> Dict[str, float]:
@@ -82,92 +276,6 @@ def _table1_cell(small: str, large: str, buffers: int, delay: float,
         "large_throughput_kbps": result.large.throughput_kbps,
         "large_retransmit_kb": result.large.retransmitted_kb,
         "large_coarse_timeouts": result.large.coarse_timeouts,
-    }
-
-
-def _table2_cell(proto: str, buffers: int, seed: int) -> Dict[str, float]:
-    from repro.experiments.background import run_with_background
-
-    run = run_with_background(proto, buffers=buffers, seed=seed)
-    return {
-        "throughput_kbps": run.transfer.throughput_kbps,
-        "retransmit_kb": run.transfer.retransmitted_kb,
-        "coarse_timeouts": run.transfer.coarse_timeouts,
-        "background_throughput_kbps": run.background_throughput_kbps,
-    }
-
-
-def _table3_cell(background: str, transfer: str, buffers: int,
-                 seed: int) -> Dict[str, float]:
-    from repro.experiments.background import run_with_background
-
-    run = run_with_background(transfer, background_cc=background,
-                              buffers=buffers, seed=seed)
-    return {
-        "background_throughput_kbps": run.background_throughput_kbps,
-        "transfer_throughput_kbps": run.transfer.throughput_kbps,
-    }
-
-
-def _table4_cell(proto: str, seed: int) -> Dict[str, float]:
-    from repro.experiments.internet import run_internet_transfer
-
-    result = run_internet_transfer(proto, seed=seed)
-    return {
-        "throughput_kbps": result.throughput_kbps,
-        "retransmit_kb": result.retransmitted_kb,
-        "coarse_timeouts": result.coarse_timeouts,
-    }
-
-
-def _table5_cell(proto: str, size_kb: int, seed: int) -> Dict[str, float]:
-    from repro.experiments.internet import run_internet_transfer
-    from repro.units import kb
-
-    result = run_internet_transfer(proto, size=kb(size_kb), seed=seed)
-    return {
-        "throughput_kbps": result.throughput_kbps,
-        "retransmit_kb": result.retransmitted_kb,
-        "coarse_timeouts": result.coarse_timeouts,
-    }
-
-
-def _traced_metrics(graph, result) -> Dict[str, float]:
-    return {
-        "throughput_kbps": result.throughput_kbps,
-        "retransmit_kb": result.retransmitted_kb,
-        "coarse_timeouts": result.coarse_timeouts,
-        "segments_lost": graph.losses(),
-    }
-
-
-def _figure6_cell(seed: int) -> Dict[str, float]:
-    from repro.experiments.traces import figure6
-
-    return _traced_metrics(*figure6(seed=seed))
-
-
-def _figure7_cell(seed: int) -> Dict[str, float]:
-    from repro.experiments.traces import figure7
-
-    return _traced_metrics(*figure7(seed=seed))
-
-
-def _figure9_cell(seed: int) -> Dict[str, float]:
-    from repro.experiments.traces import figure9
-
-    return _traced_metrics(*figure9(seed=seed))
-
-
-def _sendbuf_cell(cc: str, size_kb: int, seed: int) -> Dict[str, float]:
-    from repro.experiments.transfers import run_solo_transfer
-    from repro.units import kb
-
-    result = run_solo_transfer(cc, seed=seed, sndbuf=kb(size_kb))
-    return {
-        "throughput_kbps": result.throughput_kbps,
-        "retransmit_kb": result.retransmitted_kb,
-        "coarse_timeouts": result.coarse_timeouts,
     }
 
 
@@ -186,18 +294,6 @@ def _fairness_cell(cc: str, count: int, mixed: bool,
         "aggregate_throughput_kbps": result.aggregate_throughput,
         "retransmit_kb": result.total_retransmit_kb,
         "coarse_timeouts": result.coarse_timeouts,
-    }
-
-
-def _twoway_cell(proto: str, buffers: int, seed: int) -> Dict[str, float]:
-    from repro.experiments.background import run_with_background
-
-    run = run_with_background(proto, buffers=buffers, seed=seed,
-                              two_way=True)
-    return {
-        "throughput_kbps": run.transfer.throughput_kbps,
-        "retransmit_kb": run.transfer.retransmitted_kb,
-        "coarse_timeouts": run.transfer.coarse_timeouts,
     }
 
 
@@ -220,11 +316,11 @@ def _many_flows_cell(flows: int, seed: int) -> Dict[str, float]:
     return many_flows_metrics(flows, seed)
 
 
-# Arena matchup cells (see repro.arena): registered as built-in
-# runners so worker processes resolve them by name under any
-# multiprocessing start method, but with *no* fixed grid — their cells
-# come from the parameterized ``arena`` family (family_cells) instead
-# of the run-all sweep.
+# Arena matchup cells (see repro.arena): registered as built-in views
+# so worker processes resolve them by name under any multiprocessing
+# start method, but with *no* fixed grid — their cells come from the
+# parameterized ``arena`` family (family_cells) instead of the run-all
+# sweep.
 
 def _arena_solo_cell(scheme: str, scenario: str, seed: int) -> Dict[str, float]:
     from repro.arena.cells import arena_solo
@@ -256,24 +352,39 @@ def _search_cohort_cell(schemes: str, bw_kbps: float, delay_ms: float,
                              size_kb=size_kb, loss=loss, seed=seed)
 
 
-_RUNNERS: Dict[str, Callable[..., Dict[str, float]]] = {
-    "table1": _table1_cell,
-    "table2": _table2_cell,
-    "table3": _table3_cell,
-    "table4": _table4_cell,
-    "table5": _table5_cell,
-    "figure6": _figure6_cell,
-    "figure7": _figure7_cell,
-    "figure9": _figure9_cell,
-    "sendbuf": _sendbuf_cell,
-    "fairness": _fairness_cell,
-    "twoway": _twoway_cell,
-    "telnet": _telnet_cell,
-    "many_flows": _many_flows_cell,
-    "arena_solo": _arena_solo_cell,
-    "arena_duel": _arena_duel_cell,
-    "arena_mix": _arena_mix_cell,
-    "search_cohort": _search_cohort_cell,
+def _opaque(name: str, runner: Callable[..., Dict[str, float]]) -> View:
+    """Register *runner* as scenario *name*; return its view."""
+    _SCENARIOS[name] = lambda spec, traced: runner(**dict(spec.shape))
+    return View(spec=lambda **params: RunSpec(
+                    name, shape=tuple(sorted(params.items()))),
+                project=lambda result, **params: dict(result))
+
+
+#: scenario name -> simulate(spec, traced) -> result.
+_SCENARIOS: Dict[str, Callable[[RunSpec, bool], Any]] = {
+    "solo": _simulate_solo,
+    "background": _simulate_background,
+    "internet": _simulate_internet,
+}
+
+_VIEWS: Dict[str, View] = {
+    "table1": _opaque("table1", _table1_cell),
+    "table2": View(_table2_spec, _table2_metrics),
+    "table3": View(_background_spec, _table3_metrics),
+    "table4": View(_internet_spec, _internet_metrics),
+    "table5": View(_internet_spec, _internet_metrics),
+    "figure6": View(_figure6_spec, _figure_metrics, traced=True),
+    "figure7": View(_figure7_spec, _figure_metrics, traced=True),
+    "figure9": View(_figure9_spec, _figure9_metrics, traced=True),
+    "sendbuf": View(_solo_spec, _solo_metrics),
+    "fairness": _opaque("fairness", _fairness_cell),
+    "twoway": View(_twoway_spec, _twoway_metrics),
+    "telnet": _opaque("telnet", _telnet_cell),
+    "many_flows": _opaque("many_flows", _many_flows_cell),
+    "arena_solo": _opaque("arena_solo", _arena_solo_cell),
+    "arena_duel": _opaque("arena_duel", _arena_duel_cell),
+    "arena_mix": _opaque("arena_mix", _arena_mix_cell),
+    "search_cohort": _opaque("search_cohort", _search_cohort_cell),
 }
 
 
@@ -538,22 +649,34 @@ register_timeout_hint(
 
 
 def register_experiment(name: str,
-                        runner: Callable[..., Dict[str, float]],
+                        runner: Optional[Callable[..., Dict[str, float]]] = None,
                         grid: Optional[Callable[[bool], List[Cell]]] = None,
-                        ) -> None:
+                        view: Optional[View] = None) -> None:
     """Register an extra experiment at runtime.
 
     Used by extension code and the supervisor test-suite to add cells
-    beyond the paper's grids.  *runner* must be a module-level callable
-    (cells cross process boundaries); *grid*, when given, makes the
-    experiment part of :func:`all_cells` sweeps.  Worker processes see
-    runtime registrations only under the ``fork`` start method — the
+    beyond the paper's grids.  Give exactly one of *runner* — a
+    callable taking the cell's params and returning flat metrics; its
+    cells are opaque and never share a run — or *view*, a spec and a
+    projection over a registered scenario (see
+    :func:`register_scenario`), whose cells share a run with every
+    cell of the same spec.  *grid*, when given, makes the experiment
+    part of :func:`all_cells` sweeps.  Worker processes see runtime
+    registrations only under the ``fork`` start method — the
     supervised runner's default on POSIX.
     """
     global EXPERIMENTS
-    if name in _RUNNERS:
+    if (runner is None) == (view is None):
+        raise ReproError(f"experiment {name!r} needs exactly one of a "
+                         "runner or a view")
+    if name in _VIEWS:
         raise ReproError(f"experiment {name!r} is already registered")
-    _RUNNERS[name] = runner
+    if runner is not None:
+        if name in _SCENARIOS:
+            raise ReproError(f"scenario {name!r} is already registered")
+        view = _opaque(name, runner)
+        _OPAQUE.add(name)
+    _VIEWS[name] = view
     if grid is not None:
         _GRIDS[name] = grid
         EXPERIMENTS = tuple(_GRIDS)
@@ -564,15 +687,41 @@ def unregister_experiment(name: str) -> None:
     global EXPERIMENTS
     if name in _BUILTIN_EXPERIMENTS:
         raise ReproError(f"cannot unregister built-in experiment {name!r}")
-    _RUNNERS.pop(name, None)
+    _VIEWS.pop(name, None)
+    if name in _OPAQUE:
+        _OPAQUE.discard(name)
+        _SCENARIOS.pop(name, None)
     _TIMEOUT_HINTS.pop(name, None)
     if _GRIDS.pop(name, None) is not None:
         EXPERIMENTS = tuple(_GRIDS)
 
 
-# Covers grid experiments *and* grid-less built-in runners (the arena
+def register_scenario(name: str,
+                      simulate: Callable[[RunSpec, bool], Any]) -> None:
+    """Register a simulation function for ``RunSpec(scenario=name)``.
+
+    ``simulate(spec, traced)`` runs the simulation *spec* describes
+    and returns whatever the projections of its views read.
+    """
+    if name in _SCENARIOS:
+        raise ReproError(f"scenario {name!r} is already registered")
+    _SCENARIOS[name] = simulate
+
+
+def unregister_scenario(name: str) -> None:
+    """Remove a runtime scenario (idempotent; built-ins protected)."""
+    if name in _BUILTIN_SCENARIOS:
+        raise ReproError(f"cannot unregister built-in scenario {name!r}")
+    _SCENARIOS.pop(name, None)
+
+
+# Covers grid experiments *and* grid-less built-in views (the arena
 # cell families dispatch through those).
-_BUILTIN_EXPERIMENTS = frozenset(_RUNNERS)
+_BUILTIN_EXPERIMENTS = frozenset(_VIEWS)
+_BUILTIN_SCENARIOS = frozenset(_SCENARIOS)
+
+#: Runtime experiments registered with a plain runner (own scenario).
+_OPAQUE: set = set()
 
 
 def cells_for(experiment: str, quick: bool = False) -> List[Cell]:
@@ -629,36 +778,77 @@ def resolve_watchdog(watchdog: Any):
     return LivenessWatchdog(stall_after=float(watchdog))
 
 
-def run_cell(cell: Cell, checks: Any = False,
-             faults: Any = None, watchdog: Any = False,
-             telemetry: Optional[str] = None) -> Dict[str, float]:
-    """Execute one cell and return its metrics.
+def _view(experiment: str) -> View:
+    try:
+        return _VIEWS[experiment]
+    except KeyError:
+        raise ReproError(
+            f"no runner for experiment {experiment!r}") from None
 
-    Adds ``events_processed`` (from the cell's simulator, via
-    :func:`repro.sim.engine.last_simulator`) to whatever the
-    experiment runner reports.
 
-    ``checks`` enables the runtime invariant checker for the run:
-    truthy for fail-fast (``"raise"``), or ``"collect"`` to record
-    violations and report their count as the ``invariant_violations``
-    metric.  ``faults`` composes a fault plan (spec string, profile
-    name, or :class:`~repro.faults.plan.FaultPlan`) onto the cell's
-    topology; the injector's summed counters join the metrics.
-    ``watchdog`` arms the liveness guard (see :func:`resolve_watchdog`),
-    turning a stalled simulation into a typed
-    :class:`~repro.errors.SimulationStalled` instead of a spin to the
-    horizon.  ``telemetry`` (a JSONL path) arms the telemetry gauge
-    sampler (:mod:`repro.obs`) for the run; the file is opened in
-    append mode so a sweep's workers interleave into one log.  The
-    checker's, watchdog's and sampler's hooks schedule nothing, so
-    none of them ever changes ``events_processed``.
+def cell_spec(cell: Cell) -> RunSpec:
+    """The run spec of the simulation *cell* is a view of."""
+    return _view(cell.experiment).spec(**cell.as_dict())
+
+
+def group_cells(cells: Iterable[Cell]) -> List[Tuple[Cell, ...]]:
+    """Partition *cells* by run spec: one group per simulation to run.
+
+    Groups come in the order of their first cell (the *leader*, whose
+    key names the run) and keep their members in input order.  A cell
+    whose spec cannot be computed (unknown experiment, unknown
+    protocol) forms a group of its own, so its error surfaces when it
+    runs, as a failure of that cell alone.
+    """
+    groups: Dict[Any, List[Cell]] = {}
+    for cell in cells:
+        try:
+            spec: Any = cell_spec(cell)
+        except ReproError:
+            spec = cell
+        groups.setdefault(spec, []).append(cell)
+    return [tuple(members) for members in groups.values()]
+
+
+def group_budget(cells: Sequence[Cell],
+                 timeout_s: Optional[float]) -> Optional[float]:
+    """Supervised deadline of a group: the largest member budget."""
+    if timeout_s is None:
+        return None
+    return max(cell_budget(cell, timeout_s) for cell in cells)
+
+
+def run_group(cells: Sequence[Cell], checks: Any = False,
+              faults: Any = None, watchdog: Any = False,
+              telemetry: Optional[str] = None,
+              ) -> List[Tuple[Dict[str, float], float]]:
+    """Run the one simulation *cells* share; project every member.
+
+    Returns ``(metrics, seconds)`` per member, in order.  The first
+    cell (the leader) is charged the simulation and its own
+    projection; every other member only its own projection.  Each
+    member's metrics equal a lone :func:`run_cell` of that member.
+    The simulation carries a tracer when any member's view asks for
+    one; the instruments (``checks``/``faults``/``watchdog``/
+    ``telemetry``, see :func:`run_cell`) arm the one run, so every
+    member reports its ``events_processed``, violation count and fault
+    totals.
     """
     from repro.sim import engine
 
+    start = time.perf_counter()
+    leader = cells[0]
+    spec = cell_spec(leader)
+    views = [_view(cell.experiment) for cell in cells]
+    for cell in cells[1:]:
+        if cell_spec(cell) != spec:
+            raise ReproError(f"cell {cell.key!r} does not share the run "
+                             f"of {leader.key!r}")
     try:
-        runner = _RUNNERS[cell.experiment]
+        simulate = _SCENARIOS[spec.scenario]
     except KeyError:
-        raise ReproError(f"no runner for experiment {cell.experiment!r}") from None
+        raise ReproError(
+            f"no scenario {spec.scenario!r} for cell {leader.key!r}") from None
 
     checker = None
     if checks:
@@ -691,8 +881,8 @@ def run_cell(cell: Cell, checks: Any = False,
             from repro.obs.gauges import GaugeSampler
 
             sink = TelemetrySink(telemetry)
-            obs_runtime.activate(GaugeSampler(sink, cell=cell.key))
-        metrics = runner(**cell.as_dict())
+            obs_runtime.activate(GaugeSampler(sink, cell=leader.key))
+        result = simulate(spec, any(view.traced for view in views))
     finally:
         if sink is not None:
             from repro.obs import runtime as obs_runtime
@@ -711,18 +901,56 @@ def run_cell(cell: Cell, checks: Any = False,
             from repro.checks import runtime as checks_runtime
 
             checks_runtime.deactivate()
+    shared: Dict[str, float] = {}
     sim = engine.last_simulator()
     if sim is not None:
-        metrics[EVENTS_METRIC] = sim.events_processed
+        shared[EVENTS_METRIC] = sim.events_processed
     if checker is not None:
-        metrics["invariant_violations"] = float(len(checker.violations))
+        shared["invariant_violations"] = float(len(checker.violations))
         if checker.violations:
             import sys
 
             for violation in checker.violations[:10]:
-                print(f"invariant violation in {cell.key}: {violation}",
+                print(f"invariant violation in {leader.key}: {violation}",
                       file=sys.stderr)
     if session is not None:
         for name, value in sorted(session.totals().items()):
-            metrics[f"fault_{name}"] = float(value)
-    return metrics
+            shared[f"fault_{name}"] = float(value)
+
+    out: List[Tuple[Dict[str, float], float]] = []
+    for cell, view in zip(cells, views):
+        began = time.perf_counter() if out else start
+        metrics = view.project(result, **cell.as_dict())
+        metrics.update(shared)
+        out.append((metrics, time.perf_counter() - began))
+    return out
+
+
+def run_cell(cell: Cell, checks: Any = False,
+             faults: Any = None, watchdog: Any = False,
+             telemetry: Optional[str] = None) -> Dict[str, float]:
+    """Execute one cell and return its metrics.
+
+    A lone cell is a group of one (see :func:`run_group`): the cell's
+    view names its simulation, the simulation runs, and the view's
+    projection reports the metrics, plus ``events_processed`` (from
+    the cell's simulator, via
+    :func:`repro.sim.engine.last_simulator`).
+
+    ``checks`` enables the runtime invariant checker for the run:
+    truthy for fail-fast (``"raise"``), or ``"collect"`` to record
+    violations and report their count as the ``invariant_violations``
+    metric.  ``faults`` composes a fault plan (spec string, profile
+    name, or :class:`~repro.faults.plan.FaultPlan`) onto the cell's
+    topology; the injector's summed counters join the metrics.
+    ``watchdog`` arms the liveness guard (see :func:`resolve_watchdog`),
+    turning a stalled simulation into a typed
+    :class:`~repro.errors.SimulationStalled` instead of a spin to the
+    horizon.  ``telemetry`` (a JSONL path) arms the telemetry gauge
+    sampler (:mod:`repro.obs`) for the run; the file is opened in
+    append mode so a sweep's workers interleave into one log.  The
+    checker's, watchdog's and sampler's hooks schedule nothing, so
+    none of them ever changes ``events_processed``.
+    """
+    return run_group((cell,), checks=checks, faults=faults,
+                     watchdog=watchdog, telemetry=telemetry)[0][0]

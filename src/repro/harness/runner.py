@@ -1,11 +1,16 @@
 """Parallel cell execution.
 
-Every cell is an independent deterministic simulation — it builds its
-own :class:`~repro.sim.engine.Simulator` from its own seed — so the
-grid is embarrassingly parallel and the results cannot depend on
-worker scheduling.  The runner therefore guarantees: for the same
-registry cells, ``--jobs 1`` and ``--jobs N`` produce identical
-metrics, and a populated cache short-circuits execution entirely.
+Every simulation is independent and deterministic — it builds its own
+:class:`~repro.sim.engine.Simulator` from its own seed — so the grid
+is embarrassingly parallel and the results cannot depend on worker
+scheduling.  The runner therefore guarantees: for the same registry
+cells, ``--jobs 1`` and ``--jobs N`` produce identical metrics, and a
+populated cache short-circuits execution entirely.
+
+Cells are views over run specs (:mod:`repro.harness.registry`): the
+cells a sweep must compute are grouped by spec, and every backend runs
+one task per group whose single simulation serves every member.  The
+cache and the artifact stay per cell.
 """
 
 from __future__ import annotations
@@ -17,11 +22,19 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.harness.cache import ResultCache
-from repro.harness.registry import Cell, resolve_faults, run_cell
+from repro.harness.registry import (
+    Cell,
+    group_cells,
+    resolve_faults,
+    run_group,
+)
 from repro.harness.supervisor import (
     DEFAULT_BACKOFF_BASE,
     DEFAULT_RETRIES,
     FailureRecord,
+    SuccessRecord,
+    member_records,
+    progress_line,
     run_supervised,
 )
 
@@ -33,7 +46,10 @@ class CellResult:
     ``worker`` names the executing worker (distributed backend only),
     ``attempts`` counts executions including the successful one, and
     ``attempt_log`` carries any failed attempts that preceded it —
-    together the provenance fields of artifact schema v3.
+    together the provenance fields of artifact schema v3.  A cell
+    served by another cell's simulation names that run's leader in
+    ``shared_with`` (schema v4); its ``wall_clock_s`` is then only its
+    own projection.
     """
 
     cell: Cell
@@ -43,6 +59,7 @@ class CellResult:
     worker: Optional[str] = None
     attempts: int = 1
     attempt_log: List[Dict[str, Any]] = field(default_factory=list)
+    shared_with: Optional[str] = None
 
     @property
     def key(self) -> str:
@@ -57,13 +74,15 @@ class RunReport:
     quarantined after exhausting their retries.  Every requested cell
     lands in exactly one of ``results``/``failures`` — unless
     ``interrupted`` is set, in which case cells that never settled
-    before the drain appear in neither.
+    before the drain appear in neither.  ``simulations`` counts the
+    distinct run specs the sweep executed (cache hits run none).
     """
 
     results: List[CellResult] = field(default_factory=list)
     failures: List[FailureRecord] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
+    simulations: int = 0
     jobs: int = 1
     elapsed_s: float = 0.0
     interrupted: bool = False
@@ -86,28 +105,29 @@ class RunReport:
         return out
 
 
-def execute_cell(cell: Cell, checks: Any = False,
-                 faults: Any = None, watchdog: Any = False,
-                 telemetry: Optional[str] = None) -> CellResult:
-    """Run one cell, timing it.  Top-level so pools can pickle it.
+def execute_group(cells: Sequence[Cell], checks: Any = False,
+                  faults: Any = None, watchdog: Any = False,
+                  telemetry: Optional[str] = None) -> List[SuccessRecord]:
+    """Run the simulation *cells* share; one record per member.
 
-    With ``telemetry`` set, the cell is bracketed by a ``cell`` span
-    written from this (worker) process, and the gauge sampler is armed
-    for the run (see :func:`~repro.harness.registry.run_cell`).
+    Top-level so pools can pickle it.  With ``telemetry`` set, the run
+    is bracketed by a ``cell`` span (named after the leader, listing
+    the members it serves) written from this (worker) process, and the
+    gauge sampler is armed for the run (see
+    :func:`~repro.harness.registry.run_group`).
     """
-    start = time.perf_counter()
     if telemetry is None:
-        metrics = run_cell(cell, checks=checks, faults=faults,
-                           watchdog=watchdog)
+        outcomes = run_group(cells, checks=checks, faults=faults,
+                             watchdog=watchdog)
     else:
         from repro.obs.events import TelemetrySink
 
         with TelemetrySink(telemetry) as sink:
-            with sink.span("cell", cell=cell.key):
-                metrics = run_cell(cell, checks=checks, faults=faults,
-                                   watchdog=watchdog, telemetry=telemetry)
-    return CellResult(cell=cell, metrics=metrics,
-                      wall_clock_s=time.perf_counter() - start)
+            with sink.span("cell", cell=cells[0].key,
+                           shared=[cell.key for cell in cells[1:]]):
+                outcomes = run_group(cells, checks=checks, faults=faults,
+                                     watchdog=watchdog, telemetry=telemetry)
+    return member_records(cells, outcomes)
 
 
 def storage_key(cell_key: str, checks: Any = False,
@@ -165,13 +185,19 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
     Telemetry never affects metrics: sampler hooks schedule nothing,
     and the cache key is telemetry-independent.
 
+    Pending cells are grouped by run spec (see
+    :func:`~repro.harness.registry.group_cells`) and every backend runs
+    one task per group: one simulation whose projections serve every
+    member, each member cached and reported as its own cell.
+
     A non-``None`` ``timeout_s`` selects **supervised execution** (see
-    :mod:`repro.harness.supervisor`): every pending cell runs in its
-    own worker under that wall-clock deadline, failed cells are retried
-    up to ``retries`` times with deterministic backoff, and cells that
-    exhaust their attempts land in :attr:`RunReport.failures` instead
-    of aborting the sweep.  Quarantined cells are never written to the
-    cache, so partial runs cannot poison later sweeps.
+    :mod:`repro.harness.supervisor`): every pending group runs in its
+    own worker under that wall-clock deadline, failed groups are
+    retried up to ``retries`` times with deterministic backoff, and
+    cells whose group exhausts its attempts land in
+    :attr:`RunReport.failures` instead of aborting the sweep.
+    Quarantined cells are never written to the cache, so partial runs
+    cannot poison later sweeps.
 
     ``backend="dist"`` hands the pending cells to the fault-tolerant
     distributed master (:mod:`repro.harness.dist`): lease-based
@@ -197,7 +223,7 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
     started = time.perf_counter()
     report = RunReport(jobs=jobs, backend=backend)
     faults = resolve_faults(faults)
-    execute = functools.partial(execute_cell, checks=checks, faults=faults,
+    execute = functools.partial(execute_group, checks=checks, faults=faults,
                                 watchdog=watchdog, telemetry=telemetry)
     sink = None
     if telemetry is not None:
@@ -223,7 +249,11 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
         else:
             report.cache_misses += 1
             pending.append(cell)
+    # One task per distinct simulation; the supervised and dist
+    # backends group the same cells the same way.
+    groups = group_cells(pending)
 
+    successes: List[SuccessRecord] = []
     if backend == "dist":
         from repro.harness.dist.master import run_distributed
 
@@ -232,11 +262,6 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
             backoff_base=backoff_base, checks=checks, faults=faults,
             watchdog=watchdog, progress=progress, telemetry=telemetry,
             **(dist_options or {}))
-        executed = [CellResult(cell=s.cell, metrics=s.metrics,
-                               wall_clock_s=s.wall_clock_s, worker=s.worker,
-                               attempts=s.attempts,
-                               attempt_log=list(s.attempt_log))
-                    for s in successes]
         report.failures = sorted(failures, key=lambda f: f.key)
         report.interrupted = interrupted
     elif timeout_s is not None:
@@ -244,22 +269,16 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
             pending, jobs=jobs, timeout_s=timeout_s, retries=retries,
             backoff_base=backoff_base, checks=checks, faults=faults,
             watchdog=watchdog, progress=progress, telemetry=telemetry)
-        executed = [CellResult(cell=s.cell, metrics=s.metrics,
-                               wall_clock_s=s.wall_clock_s,
-                               attempts=s.attempts,
-                               attempt_log=list(s.attempt_log))
-                    for s in successes]
         report.failures = sorted(failures, key=lambda f: f.key)
         report.interrupted = interrupted
-    elif len(pending) > 1 and jobs > 1:
-        ctx = _pool_context()
-        executed = []
-        pool = ctx.Pool(processes=min(jobs, len(pending)))
+    elif len(groups) > 1 and jobs > 1:
+        pool = _pool_context().Pool(processes=min(jobs, len(groups)))
         try:
-            for result in pool.imap(execute, pending, chunksize=1):
-                executed.append(result)
+            for records in pool.imap(execute, groups, chunksize=1):
+                successes.extend(records)
                 if progress is not None:
-                    progress(f"{result.key}: {result.wall_clock_s:.2f}s")
+                    for record in records:
+                        progress(progress_line(record))
             pool.close()
         except KeyboardInterrupt:
             # Same drain contract as the supervised/dist paths: keep
@@ -269,15 +288,21 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
         finally:
             pool.join()
     else:
-        executed = []
         try:
-            for cell in pending:
-                result = execute(cell)
-                executed.append(result)
+            for group in groups:
+                records = execute(group)
+                successes.extend(records)
                 if progress is not None:
-                    progress(f"{result.key}: {result.wall_clock_s:.2f}s")
+                    for record in records:
+                        progress(progress_line(record))
         except KeyboardInterrupt:
             report.interrupted = True
+    executed = [CellResult(cell=s.cell, metrics=s.metrics,
+                           wall_clock_s=s.wall_clock_s, worker=s.worker,
+                           attempts=s.attempts,
+                           attempt_log=list(s.attempt_log),
+                           shared_with=s.shared_with)
+                for s in successes]
 
     for result in executed:
         if cache is not None:
@@ -285,6 +310,10 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
                       {"metrics": result.metrics,
                        "wall_clock_s": result.wall_clock_s})
         report.results.append(result)
+    settled = ({result.key for result in executed}
+               | {failure.key for failure in report.failures})
+    report.simulations = sum(
+        1 for group in groups if any(cell.key in settled for cell in group))
 
     report.results.sort(key=lambda r: r.key)
     report.elapsed_s = time.perf_counter() - started
@@ -294,6 +323,7 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
                   interrupted=report.interrupted,
                   cache_hits=report.cache_hits,
                   cache_misses=report.cache_misses,
+                  simulations=report.simulations,
                   elapsed_s=round(report.elapsed_s, 6))
         sink.close()
     return report

@@ -8,7 +8,10 @@ cells into pathological regimes, so the sweep needs to *survive* those
 regimes and report them instead of dying.
 
 This module runs each pending cell in its own worker process under a
-per-cell wall-clock deadline:
+per-cell wall-clock deadline — or rather each pending *group*: cells
+that share a run spec (:func:`~repro.harness.registry.group_cells`)
+share one worker, one simulation and the largest of their budgets, and
+a failed group fails every member:
 
 * a worker that exceeds the deadline is terminated (then killed) and
   the attempt is recorded as ``timeout``;
@@ -41,7 +44,12 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import InvariantViolation, SimulationStalled
-from repro.harness.registry import Cell, cell_budget, run_cell
+from repro.harness.registry import (
+    Cell,
+    group_budget,
+    group_cells,
+    run_group,
+)
 
 #: The failure taxonomy, in display order.  ``worker-lost`` is the
 #: distributed backend's kind (see :mod:`repro.harness.dist`): the
@@ -77,7 +85,9 @@ class SuccessRecord:
     local supervised pool), ``attempts`` counts executions including
     the successful one, and ``attempt_log`` records any failed
     attempts that preceded it — the raw material of artifact schema
-    v3's per-cell attempt history.
+    v3's per-cell attempt history.  ``shared_with`` names the leader
+    whose simulation served this cell (schema v4), ``None`` for the
+    leader itself.
     """
 
     cell: Cell
@@ -86,6 +96,7 @@ class SuccessRecord:
     worker: Optional[str] = None
     attempts: int = 1
     attempt_log: List[Dict[str, Any]] = field(default_factory=list)
+    shared_with: Optional[str] = None
 
     @property
     def key(self) -> str:
@@ -104,6 +115,7 @@ class FailureRecord:
     wall_clock_s: float           # summed across every attempt
     detail: Dict[str, Any] = field(default_factory=dict)
     attempt_log: List[Dict[str, Any]] = field(default_factory=list)
+    shared_with: Optional[str] = None     # the failed run's leader
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -115,7 +127,49 @@ class FailureRecord:
             "wall_clock_s": self.wall_clock_s,
             "detail": self.detail,
             "attempt_log": self.attempt_log,
+            "shared_with": self.shared_with,
         }
+
+
+def member_records(cells: Sequence[Cell],
+                   outcomes: Sequence[Tuple[Dict[str, Any], float]],
+                   worker: Optional[str] = None, attempts: int = 1,
+                   attempt_log: Sequence[Dict[str, Any]] = (),
+                   ) -> List[SuccessRecord]:
+    """One :class:`SuccessRecord` per member of a group's run.
+
+    *outcomes* are :func:`~repro.harness.registry.run_group`'s
+    ``(metrics, seconds)`` pairs; the provenance is the group's and is
+    copied onto every member.
+    """
+    leader = cells[0].key
+    return [SuccessRecord(cell=cell, metrics=metrics, wall_clock_s=wall,
+                          worker=worker, attempts=attempts,
+                          attempt_log=list(attempt_log),
+                          shared_with=None if cell.key == leader else leader)
+            for cell, (metrics, wall) in zip(cells, outcomes)]
+
+
+def member_failures(cells: Sequence[Cell], kind: str, message: str,
+                    attempts: int, wall_clock_s: float,
+                    detail: Dict[str, Any],
+                    attempt_log: List[Dict[str, Any]]) -> List[FailureRecord]:
+    """One :class:`FailureRecord` per member of a quarantined group."""
+    leader = cells[0].key
+    return [FailureRecord(key=cell.key, experiment=cell.experiment,
+                          kind=kind, message=message, attempts=attempts,
+                          wall_clock_s=wall_clock_s, detail=detail,
+                          attempt_log=list(attempt_log),
+                          shared_with=None if cell.key == leader else leader)
+            for cell in cells]
+
+
+def progress_line(record) -> str:
+    """The progress note of one settled cell (a result or success record)."""
+    if record.shared_with is not None:
+        return f"{record.key}: shared run of {record.shared_with}"
+    note = " (retry)" if record.attempts > 1 else ""
+    return f"{record.key}: {record.wall_clock_s:.2f}s{note}"
 
 
 def classify_error(exc: BaseException) -> Tuple[str, str, Dict[str, Any]]:
@@ -172,9 +226,10 @@ def _mp_context():
     return multiprocessing.get_context()
 
 
-def _supervised_entry(send_conn, cell: Cell, checks: Any, faults: Any,
-                      watchdog: Any, telemetry: Optional[str] = None) -> None:
-    """Worker body: run one cell, report outcome through the pipe."""
+def _supervised_entry(send_conn, cells: Tuple[Cell, ...], checks: Any,
+                      faults: Any, watchdog: Any,
+                      telemetry: Optional[str] = None) -> None:
+    """Worker body: run one group, report outcome through the pipe."""
     start = time.perf_counter()
     sink = None
     if telemetry is not None:
@@ -183,18 +238,19 @@ def _supervised_entry(send_conn, cell: Cell, checks: Any, faults: Any,
         sink = TelemetrySink(telemetry)
     try:
         if sink is None:
-            metrics = run_cell(cell, checks=checks, faults=faults,
-                               watchdog=watchdog)
+            outcomes = run_group(cells, checks=checks, faults=faults,
+                                 watchdog=watchdog)
         else:
-            with sink.span("cell", cell=cell.key):
-                metrics = run_cell(cell, checks=checks, faults=faults,
-                                   watchdog=watchdog, telemetry=telemetry)
+            with sink.span("cell", cell=cells[0].key,
+                           shared=[cell.key for cell in cells[1:]]):
+                outcomes = run_group(cells, checks=checks, faults=faults,
+                                     watchdog=watchdog, telemetry=telemetry)
     except BaseException as exc:  # noqa: BLE001 - taxonomy needs everything
         kind, message, detail = classify_error(exc)
         payload = ("fail", kind, message, detail,
                    time.perf_counter() - start)
     else:
-        payload = ("ok", metrics, time.perf_counter() - start)
+        payload = ("ok", outcomes, time.perf_counter() - start)
     finally:
         if sink is not None:
             sink.close()
@@ -206,9 +262,9 @@ def _supervised_entry(send_conn, cell: Cell, checks: Any, faults: Any,
 
 @dataclass
 class _Task:
-    """Book-keeping for one cell across its attempts."""
+    """Book-keeping for one group (one simulation) across its attempts."""
 
-    cell: Cell
+    cells: Tuple[Cell, ...]
     attempts: int = 0
     not_before: float = 0.0       # perf_counter() gate for retries
     wall_clock_s: float = 0.0
@@ -217,7 +273,8 @@ class _Task:
 
     @property
     def key(self) -> str:
-        return self.cell.key
+        """The leader's key: names the run in logs and backoff."""
+        return self.cells[0].key
 
 
 class _Running:
@@ -256,7 +313,8 @@ def run_supervised(cells: Sequence[Cell], jobs: int,
     is the sweep-wide deadline; experiments that registered a
     :func:`~repro.harness.registry.register_timeout_hint` budget get
     the larger of the two (see
-    :func:`~repro.harness.registry.cell_budget`).  With ``telemetry``
+    :func:`~repro.harness.registry.cell_budget`), and a group of cells
+    sharing one run gets its largest member budget.  With ``telemetry``
     set, retry and quarantine decisions are logged from this process
     and each worker appends its own cell span and gauges.
     """
@@ -270,7 +328,7 @@ def run_supervised(cells: Sequence[Cell], jobs: int,
 
         sink = TelemetrySink(telemetry, run_id="supervisor")
     ctx = _mp_context()
-    ready: List[_Task] = [_Task(cell) for cell in cells]
+    ready: List[_Task] = [_Task(group) for group in group_cells(cells)]
     ready.reverse()               # pop() from the end preserves order
     waiting: List[_Task] = []     # backoff gate not yet open
     running: List[_Running] = []
@@ -280,13 +338,13 @@ def run_supervised(cells: Sequence[Cell], jobs: int,
     def launch(task: _Task) -> None:
         recv_conn, send_conn = ctx.Pipe(duplex=False)
         process = ctx.Process(target=_supervised_entry,
-                              args=(send_conn, task.cell, checks, faults,
+                              args=(send_conn, task.cells, checks, faults,
                                     watchdog, telemetry))
         process.daemon = True
         process.start()
         send_conn.close()         # parent keeps only the read end
         task.attempts += 1
-        budget = cell_budget(task.cell, timeout_s)
+        budget = group_budget(task.cells, timeout_s)
         deadline = (float("inf") if budget is None
                     else time.perf_counter() + budget)
         running.append(_Running(task, process, recv_conn, deadline, budget))
@@ -310,17 +368,17 @@ def run_supervised(cells: Sequence[Cell], jobs: int,
                 progress(f"{task.key}: {kind} on attempt {task.attempts}, "
                          f"retrying in {backoff:.2f}s")
         else:
-            failures.append(FailureRecord(
-                key=task.key, experiment=task.cell.experiment, kind=kind,
-                message=message, attempts=task.attempts,
-                wall_clock_s=task.wall_clock_s, detail=detail,
-                attempt_log=task.attempt_log))
-            if sink is not None:
-                sink.emit("cell.quarantine", cell=task.key, kind=kind,
-                          attempts=task.attempts, message=message)
-            if progress is not None:
-                progress(f"{task.key}: FAILED ({kind}) after "
-                         f"{task.attempts} attempt(s)")
+            quarantined = member_failures(
+                task.cells, kind, message, task.attempts, task.wall_clock_s,
+                detail, task.attempt_log)
+            failures.extend(quarantined)
+            for failure in quarantined:
+                if sink is not None:
+                    sink.emit("cell.quarantine", cell=failure.key, kind=kind,
+                              attempts=task.attempts, message=message)
+                if progress is not None:
+                    progress(f"{failure.key}: FAILED ({kind}) after "
+                             f"{task.attempts} attempt(s)")
 
     def reap(entry: _Running) -> None:
         running.remove(entry)
@@ -335,15 +393,15 @@ def run_supervised(cells: Sequence[Cell], jobs: int,
         if payload is not None:
             entry.process.join()
             if payload[0] == "ok":
-                _, metrics, wall = payload
+                _, outcomes, wall = payload
                 task.wall_clock_s += wall
-                successes.append(SuccessRecord(
-                    cell=task.cell, metrics=metrics, wall_clock_s=wall,
-                    attempts=task.attempts,
-                    attempt_log=list(task.attempt_log)))
+                settled = member_records(task.cells, outcomes,
+                                         attempts=task.attempts,
+                                         attempt_log=task.attempt_log)
+                successes.extend(settled)
                 if progress is not None:
-                    note = " (retry)" if task.attempts > 1 else ""
-                    progress(f"{task.key}: {wall:.2f}s{note}")
+                    for record in settled:
+                        progress(progress_line(record))
             else:
                 _, kind, message, detail, wall = payload
                 settle_attempt(task, kind, message, detail, wall)

@@ -6,8 +6,9 @@
 
 The report is the human-readable face of a ``run-all`` sweep: per-cell
 timings by experiment, cache-hit ratio, the failure taxonomy from the
-quarantine manifest, the top-N slowest cells, and the paper's headline
-comparison (Vegas vs Reno throughput/retransmissions) pulled from the
+quarantine manifest, the top-N slowest cells (cells served by another
+cell's run count as ``shared`` and are left out), and the paper's
+headline comparison (Vegas vs Reno throughput/retransmissions) pulled from the
 cell metrics.  When a telemetry JSONL (``--telemetry``, written by
 ``run-all --telemetry``) is given, the report adds event counts, span
 durations for the harness phases, and a gauge digest (samples, peak
@@ -227,6 +228,10 @@ def render_report(doc: Dict[str, Any],
                  f"{run.get('cell_wall_clock_s', 0.0):.1f}s)")
     lines.append(f"- cache: {hits} hits / {misses} misses "
                  f"({hit_ratio:.0%} hit ratio)")
+    if "simulations" in run:
+        shared = sum(1 for c in cells if c.get("shared_with"))
+        lines.append(f"- runs: {run['simulations']} simulations; "
+                     f"{shared} cell(s) served by another cell's run")
     if run.get("backend", "local") != "local":
         lines.append(f"- backend: **{run['backend']}**"
                      + (" — **interrupted (partial)**"
@@ -244,12 +249,16 @@ def render_report(doc: Dict[str, Any],
     for exp in sorted(by_exp):
         walls = [c.get("wall_clock_s", 0.0) for c in by_exp[exp]]
         cached = sum(1 for c in by_exp[exp] if c.get("cached"))
-        rows.append([exp, len(walls), cached, f"{sum(walls):.2f}",
+        shared = sum(1 for c in by_exp[exp] if c.get("shared_with"))
+        rows.append([exp, len(walls), cached, shared, f"{sum(walls):.2f}",
                      f"{_mean(walls):.2f}", f"{max(walls):.2f}"])
-    lines.extend(markdown_table(["experiment", "cells", "cached", "total s",
-                         "mean s", "max s"], rows))
+    lines.extend(markdown_table(["experiment", "cells", "cached", "shared",
+                                 "total s", "mean s", "max s"], rows))
 
-    slowest = sorted((c for c in cells if not c.get("cached")),
+    # A shared cell's wall clock is only its projection; its run is
+    # timed on the leader.
+    slowest = sorted((c for c in cells
+                      if not c.get("cached") and not c.get("shared_with")),
                      key=lambda c: c.get("wall_clock_s", 0.0),
                      reverse=True)[:top]
     if slowest:

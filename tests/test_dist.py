@@ -95,6 +95,25 @@ class TestProtocol:
             protocol.grant("L1", cell, 1, 60.0)))
         assert protocol.cell_from_grant(msg) == cell
 
+    def test_grant_carries_the_shared_group(self):
+        leader = Cell.make("figure6", seed=0)
+        member = Cell.make("sendbuf", cc="reno", size_kb=50, seed=0)
+        msg = protocol.decode(protocol.encode(
+            protocol.grant("L1", leader, 1, 60.0, shared=[member])))
+        assert protocol.cell_from_grant(msg) == leader
+        assert protocol.group_from_grant(msg) == (leader, member)
+
+    def test_result_must_cover_the_leased_group(self):
+        leader = Cell.make("figure6", seed=0)
+        member = Cell.make("sendbuf", cc="reno", size_kb=50, seed=0)
+        msg = protocol.decode(protocol.encode(protocol.result(
+            "w1", "L1", leader.key, {"m": 1.0}, 0.5,
+            shared=[(member.key, {"m": 2.0}, 0.01)])))
+        assert protocol.outcomes_from_result(msg, (leader, member)) == [
+            ({"m": 1.0}, 0.5), ({"m": 2.0}, 0.01)]
+        with pytest.raises(protocol.ProtocolError):
+            protocol.outcomes_from_result(msg, (leader,))
+
     def test_hello_version_gate(self):
         ok = protocol.hello("w9", 123)
         assert protocol.check_hello(ok) == "w9"
@@ -462,6 +481,21 @@ class TestDistExecution:
         assert cells_fingerprint(doc_local) == cells_fingerprint(doc_dist)
         assert doc_dist["run"]["backend"] == "dist"
         assert all(c["worker"] for c in doc_dist["cells"])
+
+    def test_one_lease_serves_every_member_of_a_shared_run(self):
+        figure6 = Cell.make("figure6", seed=0)
+        sendbuf = Cell.make("sendbuf", cc="reno", size_kb=50, seed=0)
+        local = run_cells([sendbuf, figure6], jobs=1)
+        dist = run_cells([sendbuf, figure6], jobs=1, backend="dist",
+                         timeout_s=60.0,
+                         dist_options=dict(workers=2, **FAST_OPTS))
+        assert dist.ok and dist.simulations == 1
+        assert ([r.metrics for r in dist.results]
+                == [r.metrics for r in local.results])
+        # The first cell listed leads the run.
+        assert {r.key: r.shared_with for r in dist.results} == {
+            sendbuf.key: None, figure6.key: sendbuf.key}
+        assert len({r.worker for r in dist.results}) == 1
 
 
 # ----------------------------------------------------------------------

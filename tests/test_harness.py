@@ -10,7 +10,8 @@ import json
 
 import pytest
 
-from repro.errors import ReproError
+from repro.core.registry import canonical_name
+from repro.errors import ConfigurationError, ReproError
 from repro.harness import (
     Cell,
     ResultCache,
@@ -25,7 +26,12 @@ from repro.harness import (
 )
 from repro.harness import check
 from repro.harness.aggregate import summarize
-from repro.harness.registry import EXPERIMENTS
+from repro.harness.registry import (
+    EXPERIMENTS,
+    cell_spec,
+    group_cells,
+    run_cell,
+)
 from repro.harness.runner import storage_key
 
 #: Cheap cells (sub-second solo transfers) for runner/cache tests.
@@ -113,6 +119,91 @@ class TestRunner:
     def test_jobs_must_be_positive(self):
         with pytest.raises(ValueError):
             run_cells(CHEAP_CELLS[:1], jobs=0)
+
+
+#: A cheap slice with two shared runs: figure6/figure7 are the 50 KB
+#: sendbuf transfers, traced.
+SHARED_SLICE = ("figure6", "figure7", "sendbuf")
+
+#: Member -> leader of the slice's shared runs.
+SHARED_MEMBERS = {"sendbuf/cc=reno/seed=0/size_kb=50": "figure6/seed=0",
+                  "sendbuf/cc=vegas/seed=0/size_kb=50": "figure7/seed=0"}
+
+
+class TestRunSpecs:
+    def test_quick_grid_holds_61_distinct_simulations(self):
+        cells = all_cells(quick=True)
+        assert len(cells) == 66
+        assert len(group_cells(cells)) == 61
+
+    def test_full_grid_holds_164_distinct_simulations(self):
+        # The quick grid's sharing repeats at every buffer count and
+        # seed (19 runs), figure6/7 are sendbuf runs (2), and table4
+        # at 1 MB is table5's 1024 KB run for reno and vegas-1,3 (6).
+        cells = all_cells(quick=False)
+        assert len(cells) == 191
+        assert len(group_cells(cells)) == 164
+
+    def test_figure9_table2_table3_are_one_run(self):
+        table3 = Cell.make("table3", background="reno", transfer="vegas",
+                           buffers=10, seed=0)
+        figure9 = Cell.make("figure9", seed=0)
+        table2 = Cell.make("table2", proto="vegas-2,4", buffers=10, seed=0)
+        assert cell_spec(table3) == cell_spec(figure9) == cell_spec(table2)
+        # Leader first, members in input order.
+        assert group_cells([table3, figure9, table2]) == [
+            (table3, figure9, table2)]
+
+    def test_protocol_aliases_come_from_the_cc_registry(self):
+        assert canonical_name("vegas-2,4") == "vegas"
+        assert canonical_name("vegas-1,3") == "vegas-1,3"
+        assert canonical_name("vegas-paced") == "vegas-paced"
+        assert canonical_name("reno") == "reno"
+        with pytest.raises(ConfigurationError):
+            canonical_name("no-such-cc")
+
+    def test_equal_metrics_are_not_a_shared_spec(self):
+        # A 5 KB socket buffer window-limits both protocols to the
+        # same metrics, but they are two different simulations.
+        reno = Cell.make("sendbuf", cc="reno", size_kb=5, seed=0)
+        vegas = Cell.make("sendbuf", cc="vegas", size_kb=5, seed=0)
+        assert run_cell(reno) == run_cell(vegas)
+        assert cell_spec(reno) != cell_spec(vegas)
+        assert group_cells([reno, vegas]) == [(reno,), (vegas,)]
+
+    def test_unknown_experiment_is_a_group_of_its_own(self):
+        ghost = Cell.make("no_such_experiment", seed=0)
+        assert group_cells([ghost, CHEAP_CELLS[0]]) == [
+            (ghost,), (CHEAP_CELLS[0],)]
+
+    @pytest.mark.parametrize("options", [
+        {}, {"faults": "light", "checks": "collect"}],
+        ids=["plain", "faults-and-checks"])
+    def test_every_member_equals_a_lone_run(self, options):
+        cells = all_cells(quick=True, experiments=SHARED_SLICE)
+        lone = {cell.key: run_cell(cell, **options) for cell in cells}
+        for backend in ({"jobs": 1}, {"jobs": 2},
+                        {"jobs": 1, "timeout_s": 60.0}):
+            report = run_cells(cells, **backend, **options)
+            assert report.ok, backend
+            assert report.simulations == len(cells) - 2, backend
+            assert {r.key: r.metrics for r in report.results} == lone, \
+                backend
+            assert {r.key: r.shared_with for r in report.results
+                    if r.shared_with} == SHARED_MEMBERS, backend
+
+    def test_grouped_run_caches_every_cell(self, tmp_path):
+        cache = ResultCache(tmp_path, "h")
+        cells = all_cells(quick=True, experiments=SHARED_SLICE)
+        cold = run_cells(cells, jobs=1, cache=cache)
+        assert cold.cache_misses == len(cells)
+        assert cold.simulations == len(cells) - 2
+        assert len(list((tmp_path / "h").glob("*.json"))) == len(cells)
+        warm = run_cells(cells, jobs=1, cache=cache)
+        assert warm.cache_hits == len(cells)
+        assert warm.simulations == 0
+        assert ({r.key: r.metrics for r in warm.results}
+                == {r.key: r.metrics for r in cold.results})
 
 
 class TestCache:
@@ -304,9 +395,10 @@ class TestArtifacts:
     def test_build_document_from_report(self):
         report = run_cells(CHEAP_CELLS[:1], jobs=1)
         doc = build_document(report, mode="quick", src_hash="abc")
-        assert doc["schema_version"] == "repro-harness/v3"
+        assert doc["schema_version"] == "repro-harness/v4"
         assert doc["src_hash"] == "abc"
         assert doc["run"]["cells"] == 1
+        assert doc["run"]["simulations"] == 1
         assert doc["run"]["backend"] == "local"
         assert doc["run"]["interrupted"] is False
         cell = doc["cells"][0]
@@ -314,6 +406,7 @@ class TestArtifacts:
         assert cell["params"] == {"cc": "reno", "seed": 0, "size_kb": 5}
         assert cell["metrics"]["throughput_kbps"] > 0
         assert cell["worker"] is None and cell["attempts"] == 1
+        assert cell["shared_with"] is None
 
 
 class TestCheck:

@@ -239,6 +239,29 @@ class TestReport:
         assert "timeout: 1" in text
         assert "50% hit ratio" in text
 
+    def test_shared_cells_are_counted_and_not_ranked_slowest(self):
+        doc = self._doc()
+        doc["schema_version"] = "repro-harness/v4"
+        doc["run"]["simulations"] = 1
+        doc["cells"].append(
+            {"key": "table3/background=reno/seed=0/transfer=reno",
+             "experiment": "table3",
+             "params": {"background": "reno", "seed": 0,
+                        "transfer": "reno"},
+             "metrics": {"background_throughput_kbps": 70.0,
+                         "events_processed": 1000},
+             "wall_clock_s": 0.0, "cached": False,
+             "shared_with": "table2/proto=reno/seed=0"})
+        text = render_report(doc)
+        assert "1 simulations; 1 cell(s) served by another" in text
+        header = next(line for line in text.splitlines()
+                      if line.startswith("| experiment"))
+        assert [c.strip() for c in header.split("|")][2:5] == [
+            "cells", "cached", "shared"]
+        slowest = text.split("slowest cells")[1].split("## Failures")[0]
+        assert "table2/proto=reno/seed=0" in slowest
+        assert "table3/" not in slowest
+
     def test_zero_reference_headline_renders_na_not_infinity(self):
         # A 0.0 reno reference used to emit float("inf"), which
         # json.dumps writes as non-compliant `Infinity` in artifacts.

@@ -32,6 +32,16 @@ from repro.harness import (
     write_document,
 )
 from repro.harness import check
+from repro.harness.dist.lease import LeaseTable
+from repro.harness.registry import (
+    RunSpec,
+    View,
+    group_budget,
+    group_cells,
+    register_scenario,
+    register_timeout_hint,
+    unregister_scenario,
+)
 from repro.harness.runner import storage_key
 from repro.harness.supervisor import FAILURE_KINDS, classify_error
 from repro.sim import LivenessWatchdog, Simulator, watching
@@ -85,6 +95,36 @@ def pathological_registry():
     yield
     for name in names:
         unregister_experiment(name)
+
+
+def _doomed_run(spec, traced):
+    # Seed 1 hangs (for the deadline test); every other seed raises.
+    while spec.seed == 1:
+        time.sleep(0.02)
+    raise RuntimeError("deliberate crash of a shared run")
+
+
+def _doomed_spec(seed: int):
+    return RunSpec("doomedx", seed=seed)
+
+
+def _doomed_metrics(result, **params):  # pragma: no cover - never reached
+    return {}
+
+
+@pytest.fixture
+def shared_doomed_registry():
+    """Two experiments that are views of one raising scenario; the
+    second declares a wider budget than the sweep's."""
+    register_scenario("doomedx", _doomed_run)
+    view = View(_doomed_spec, _doomed_metrics)
+    register_experiment("doomed_ax", view=view)
+    register_experiment("doomed_bx", view=view)
+    register_timeout_hint("doomed_bx", 1.5)
+    yield
+    unregister_experiment("doomed_ax")
+    unregister_experiment("doomed_bx")
+    unregister_scenario("doomedx")
 
 
 fork_only = pytest.mark.skipif(
@@ -429,6 +469,61 @@ class TestSupervisedExecution:
             run_cells([CHEAP], jobs=1, timeout_s=-1.0)
         with pytest.raises(ValueError):
             run_cells([CHEAP], jobs=1, timeout_s=1.0, retries=-1)
+
+
+@fork_only
+class TestSharedRunFailures:
+    A = Cell.make("doomed_ax", seed=0)
+    B = Cell.make("doomed_bx", seed=0)
+
+    def test_failed_run_fails_every_member_and_caches_nothing(
+            self, shared_doomed_registry, tmp_path, capsys):
+        cache = ResultCache(tmp_path, "deadbeef" * 8)
+        assert group_cells([self.A, CHEAP, self.B]) == [
+            (self.A, self.B), (CHEAP,)]
+        report = run_cells([self.A, CHEAP, self.B], jobs=2, timeout_s=5.0,
+                           retries=1, backoff_base=0.01, cache=cache)
+        assert [r.key for r in report.results] == [CHEAP.key]
+        assert report.simulations == 2
+        assert {f.key: f.shared_with for f in report.failures} == {
+            self.A.key: None, self.B.key: self.A.key}
+        for failure in report.failures:
+            assert failure.kind == "crash"
+            assert failure.attempts == 2
+            assert len(failure.attempt_log) == 2
+            assert "deliberate crash of a shared run" in failure.message
+            assert cache.get(storage_key(failure.key)) is None
+        assert cache.get(storage_key(CHEAP.key)) is not None
+
+        # `repro check` names every quarantined baseline cell.
+        doc = build_document(report, mode="quick", src_hash="x")
+        baseline = json.loads(json.dumps(doc))
+        baseline["failures"] = []
+        baseline["cells"] += [dict(doc["cells"][0], key=cell.key,
+                                   experiment=cell.experiment)
+                              for cell in (self.A, self.B)]
+        results = str(tmp_path / "r.json")
+        expected = str(tmp_path / "e.json")
+        write_document(results, doc)
+        write_document(expected, baseline)
+        assert check.main([results, expected]) == 3
+        out = capsys.readouterr().out
+        assert self.A.key in out and self.B.key in out
+
+    def test_group_deadline_is_the_largest_member_budget(
+            self, shared_doomed_registry):
+        assert group_budget((self.A, self.B), 0.5) == 1.5
+        assert group_budget((self.A,), 0.5) == 0.5
+        assert group_budget((self.A, self.B), None) is None
+        table = LeaseTable([self.A, self.B], timeout_s=0.5, retries=0)
+        lease = table.grant("w1", now=0.0)
+        assert lease.task.cells == (self.A, self.B)
+        assert lease.budget_s == 1.5
+
+        hung = [Cell.make("doomed_ax", seed=1), Cell.make("doomed_bx", seed=1)]
+        report = run_cells(hung, jobs=1, timeout_s=0.5, retries=0)
+        assert [f.kind for f in report.failures] == ["timeout", "timeout"]
+        assert {f.detail["timeout_s"] for f in report.failures} == {1.5}
 
 
 # ----------------------------------------------------------------------
