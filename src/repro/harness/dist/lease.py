@@ -3,7 +3,8 @@
 A **lease** is the unit of fault tolerance: a cell is never *sent* to
 a worker, it is *leased* — granted with a deadline sized from the
 cell's budget (per-cell timeout hints included) plus grace.  A lease
-covers one simulation: the group of cells sharing a run spec (see
+covers one simulation: a group of cells sharing a run spec (the
+caller partitions them with
 :func:`~repro.harness.registry.group_cells`), with the largest member
 budget; a group that fails fails every member.  Whatever
 happens to the worker afterwards, the master's view stays consistent:
@@ -33,9 +34,9 @@ makes expiry/backoff behaviour unit-testable without sleeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.harness.registry import Cell, group_budget, group_cells
+from repro.harness.registry import Cell, group_budget
 from repro.harness.supervisor import (
     DEFAULT_BACKOFF_BASE,
     FailureRecord,
@@ -79,7 +80,7 @@ class Lease:
 
 
 class LeaseTable:
-    """Pending cells, outstanding leases, and the retry policy.
+    """Pending groups, outstanding leases, and the retry policy.
 
     The master drives it with five calls: :meth:`grant` when a worker
     is idle, :meth:`settle_ok` / :meth:`settle_fail` when messages
@@ -87,7 +88,8 @@ class LeaseTable:
     :meth:`revoke_worker` when a worker is lost.
     """
 
-    def __init__(self, cells, timeout_s: Optional[float],
+    def __init__(self, groups: Sequence[Tuple[Cell, ...]],
+                 timeout_s: Optional[float],
                  retries: int,
                  backoff_base: float = DEFAULT_BACKOFF_BASE,
                  lease_grace_s: float = DEFAULT_LEASE_GRACE_S):
@@ -111,8 +113,8 @@ class LeaseTable:
             return float("inf") if budget is None else budget
 
         self.pending: List[DistTask] = [
-            DistTask(group) for group in
-            sorted(group_cells(cells), key=_declared, reverse=True)]
+            DistTask(tuple(group)) for group in
+            sorted(groups, key=_declared, reverse=True)]
         self.leases: Dict[str, Lease] = {}
         self.successes: List[Tuple[DistTask, Dict[str, float], float, str]] = []
         self.failures: List[FailureRecord] = []

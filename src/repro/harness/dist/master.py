@@ -2,7 +2,8 @@
 
 :func:`run_distributed` is the dist backend's entry point, mirroring
 :func:`~repro.harness.supervisor.run_supervised`'s contract — it takes
-pending cells and returns ``(successes, failures, interrupted)`` — but
+pending groups of cells and returns ``(successes, failures,
+interrupted, simulations)`` — but
 executes them across worker *processes* speaking the
 :mod:`~repro.harness.dist.protocol` wire format over TCP, instead of
 forked children on pipes.  Robustness is the design driver:
@@ -56,6 +57,7 @@ from repro.harness.supervisor import (
     member_records,
     progress_line,
     run_supervised,
+    runs_settled,
 )
 
 #: Scheduler tick (seconds): lease expiry and heartbeat scans, grants.
@@ -499,14 +501,24 @@ def _wire_specs(checks: Any, faults: Any,
     return checks_spec, faults_spec, watchdog_spec
 
 
-def _replayed_records(cells: Sequence[Cell], state
+def _replayed_records(groups: Sequence[Tuple[Cell, ...]], state
                       ) -> Tuple[List[SuccessRecord], List[FailureRecord],
-                                 List[Cell]]:
-    """Split *cells* into journal-served results and the remainder."""
+                                 List[Tuple[Cell, ...]]]:
+    """Split *groups* into journal-served results and the remainder.
+
+    A group the journal settled only in part keeps its unsettled
+    members as a (smaller) group of the same run spec.
+    """
     successes: List[SuccessRecord] = []
     failures: List[FailureRecord] = []
-    remainder: List[Cell] = []
-    for cell in cells:
+    remainder: List[Tuple[Cell, ...]] = []
+    for group in groups:
+        left = tuple(cell for cell in group
+                     if cell.key not in state.results
+                     and cell.key not in state.failures)
+        if left:
+            remainder.append(left)
+    for cell in (cell for group in groups for cell in group):
         if cell.key in state.results:
             entry = state.results[cell.key]
             successes.append(SuccessRecord(
@@ -525,12 +537,10 @@ def _replayed_records(cells: Sequence[Cell], state
                 detail=entry.get("detail", {}),
                 attempt_log=entry.get("attempt_log", []),
                 shared_with=entry.get("shared_with")))
-        else:
-            remainder.append(cell)
     return successes, failures, remainder
 
 
-def run_distributed(cells: Sequence[Cell],
+def run_distributed(groups: Sequence[Tuple[Cell, ...]],
                     timeout_s: Optional[float] = None,
                     retries: int = DEFAULT_RETRIES,
                     backoff_base: float = DEFAULT_BACKOFF_BASE,
@@ -552,12 +562,15 @@ def run_distributed(cells: Sequence[Cell],
                     max_respawns: Optional[int] = None,
                     chaos_kill_after: Optional[int] = None,
                     fallback_jobs: Optional[int] = None,
-                    ) -> Tuple[List[SuccessRecord], List[FailureRecord], bool]:
-    """Execute *cells* on the distributed backend.
+                    ) -> Tuple[List[SuccessRecord], List[FailureRecord],
+                               bool, int]:
+    """Execute *groups* (cells sharing a run spec) on the dist backend.
 
     Same contract as :func:`~repro.harness.supervisor.run_supervised`:
-    returns ``(successes, failures, interrupted)`` and never raises for
-    a cell.  ``workers`` local worker processes are spawned (0 = attach
+    returns ``(successes, failures, interrupted, simulations)`` and
+    never raises for a cell.  ``simulations`` counts the groups whose
+    run settled in this call; results replayed from the journal count
+    none.  ``workers`` local worker processes are spawned (0 = attach
     only: listen on ``bind`` and wait ``connect_timeout_s`` for
     external ``python -m repro dist worker`` processes).  With
     ``journal`` set every decision is logged; ``resume=True`` replays
@@ -570,7 +583,7 @@ def run_distributed(cells: Sequence[Cell],
         raise ValueError(f"workers must be >= 0, got {workers}")
     replayed_ok: List[SuccessRecord] = []
     replayed_fail: List[FailureRecord] = []
-    pending = list(cells)
+    pending = [tuple(group) for group in groups]
     if resume:
         if journal is None:
             raise ReproError("--resume requires --journal (the run to "
@@ -584,7 +597,7 @@ def run_distributed(cells: Sequence[Cell],
         if progress is not None:
             progress(f"resume: {len(replayed_ok)} results and "
                      f"{len(replayed_fail)} quarantines replayed from "
-                     f"journal, {len(pending)} cells remain")
+                     f"journal, {sum(map(len, pending))} cells remain")
 
     sink = None
     if telemetry is not None:
@@ -608,9 +621,10 @@ def run_distributed(cells: Sequence[Cell],
         chaos_kill_after=chaos_kill_after)
     if resume:
         master._rec("run.resume", replayed=len(replayed_ok),
-                    remaining=len(pending))
+                    remaining=sum(map(len, pending)))
     else:
-        master._rec("run.start", src_hash=src_hash, cells=len(pending),
+        master._rec("run.start", src_hash=src_hash,
+                    cells=sum(map(len, pending)),
                     workers=workers, timeout_s=timeout_s, retries=retries)
 
     interrupted = False
@@ -628,20 +642,21 @@ def run_distributed(cells: Sequence[Cell],
 
     successes = replayed_ok + master.successes
     failures = replayed_fail + list(table.failures)
+    simulations = runs_settled(master.successes, table.failures)
 
     if master.degraded and not interrupted:
-        remaining = [cell for task in table.pending for cell in task.cells]
+        remaining = [task.cells for task in table.pending]
         if remaining:
+            count = sum(map(len, remaining))
             if progress is not None:
                 progress(f"warning: no reachable dist workers — degrading "
-                         f"{len(remaining)} cells to the local supervised "
-                         "pool")
+                         f"{count} cells to the local supervised pool")
             if sink is not None:
-                sink.emit("dist.degrade", remaining=len(remaining))
-            master._rec("degrade", remaining=len(remaining))
+                sink.emit("dist.degrade", remaining=count)
+            master._rec("degrade", remaining=count)
             import multiprocessing
 
-            local_ok, local_fail, interrupted = run_supervised(
+            local_ok, local_fail, interrupted, local_runs = run_supervised(
                 remaining,
                 jobs=fallback_jobs or multiprocessing.cpu_count(),
                 timeout_s=timeout_s, retries=retries,
@@ -649,6 +664,7 @@ def run_distributed(cells: Sequence[Cell],
                 watchdog=watchdog, progress=progress, telemetry=telemetry)
             successes.extend(local_ok)
             failures.extend(local_fail)
+            simulations += local_runs
             for record in local_ok:
                 master._rec("result", key=record.key, metrics=record.metrics,
                             wall_clock_s=record.wall_clock_s, worker=None,
@@ -670,4 +686,4 @@ def run_distributed(cells: Sequence[Cell],
                 interrupted=interrupted)
     if journal_file is not None:
         journal_file.close()
-    return successes, failures, interrupted
+    return successes, failures, interrupted, simulations

@@ -799,7 +799,15 @@ def group_cells(cells: Iterable[Cell]) -> List[Tuple[Cell, ...]]:
     whose spec cannot be computed (unknown experiment, unknown
     protocol) forms a group of its own, so its error surfaces when it
     runs, as a failure of that cell alone.
+
+    :func:`run_cell` is also the per-cell hook: a caller may replace
+    this module's ``run_cell`` with a wrapper (a profiler that keeps
+    one ledger per cell, say).  While it is replaced, every cell is a
+    group of its own, so each runs its own simulation through the
+    wrapper (see :func:`run_group`).
     """
+    if run_cell is not _RUN_CELL:
+        return [(cell,) for cell in cells]
     groups: Dict[Any, List[Cell]] = {}
     for cell in cells:
         try:
@@ -832,8 +840,23 @@ def run_group(cells: Sequence[Cell], checks: Any = False,
     one; the instruments (``checks``/``faults``/``watchdog``/
     ``telemetry``, see :func:`run_cell`) arm the one run, so every
     member reports its ``events_processed``, violation count and fault
-    totals.
+    totals.  A group of one is a call of :func:`run_cell` (looked up
+    at call time, so a replaced ``run_cell`` sees every lone cell).
     """
+    if len(cells) == 1:
+        start = time.perf_counter()
+        metrics = run_cell(cells[0], checks=checks, faults=faults,
+                           watchdog=watchdog, telemetry=telemetry)
+        return [(metrics, time.perf_counter() - start)]
+    return _run_group(cells, checks=checks, faults=faults,
+                      watchdog=watchdog, telemetry=telemetry)
+
+
+def _run_group(cells: Sequence[Cell], checks: Any = False,
+               faults: Any = None, watchdog: Any = False,
+               telemetry: Optional[str] = None,
+               ) -> List[Tuple[Dict[str, float], float]]:
+    """:func:`run_group` for any number of members."""
     from repro.sim import engine
 
     start = time.perf_counter()
@@ -952,5 +975,9 @@ def run_cell(cell: Cell, checks: Any = False,
     checker's, watchdog's and sampler's hooks schedule nothing, so
     none of them ever changes ``events_processed``.
     """
-    return run_group((cell,), checks=checks, faults=faults,
-                     watchdog=watchdog, telemetry=telemetry)[0][0]
+    return _run_group((cell,), checks=checks, faults=faults,
+                      watchdog=watchdog, telemetry=telemetry)[0][0]
+
+
+#: The harness's own :func:`run_cell`, to tell when it was replaced.
+_RUN_CELL = run_cell

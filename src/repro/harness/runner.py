@@ -75,7 +75,8 @@ class RunReport:
     lands in exactly one of ``results``/``failures`` — unless
     ``interrupted`` is set, in which case cells that never settled
     before the drain appear in neither.  ``simulations`` counts the
-    distinct run specs the sweep executed (cache hits run none).
+    distinct run specs the sweep executed: cache hits and results
+    replayed from a dist journal run none.
     """
 
     results: List[CellResult] = field(default_factory=list)
@@ -185,10 +186,12 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
     Telemetry never affects metrics: sampler hooks schedule nothing,
     and the cache key is telemetry-independent.
 
-    Pending cells are grouped by run spec (see
-    :func:`~repro.harness.registry.group_cells`) and every backend runs
-    one task per group: one simulation whose projections serve every
-    member, each member cached and reported as its own cell.
+    Pending cells are grouped by run spec once, here (see
+    :func:`~repro.harness.registry.group_cells`), and every backend
+    takes the groups as its work units: one task per group, one
+    simulation whose projections serve every member, each member
+    cached and reported as its own cell.  Each backend reports how
+    many groups it ran (:attr:`RunReport.simulations`).
 
     A non-``None`` ``timeout_s`` selects **supervised execution** (see
     :mod:`repro.harness.supervisor`): every pending group runs in its
@@ -199,7 +202,7 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
     Quarantined cells are never written to the cache, so partial runs
     cannot poison later sweeps.
 
-    ``backend="dist"`` hands the pending cells to the fault-tolerant
+    ``backend="dist"`` hands the pending groups to the fault-tolerant
     distributed master (:mod:`repro.harness.dist`): lease-based
     assignment over worker processes, heartbeats, journal + resume.
     ``dist_options`` (workers/journal/resume/bind/...) are forwarded to
@@ -249,26 +252,27 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
         else:
             report.cache_misses += 1
             pending.append(cell)
-    # One task per distinct simulation; the supervised and dist
-    # backends group the same cells the same way.
+    # One task per distinct simulation, in every backend.
     groups = group_cells(pending)
 
     successes: List[SuccessRecord] = []
     if backend == "dist":
         from repro.harness.dist.master import run_distributed
 
-        successes, failures, interrupted = run_distributed(
-            pending, timeout_s=timeout_s, retries=retries,
-            backoff_base=backoff_base, checks=checks, faults=faults,
-            watchdog=watchdog, progress=progress, telemetry=telemetry,
-            **(dist_options or {}))
+        successes, failures, interrupted, report.simulations = \
+            run_distributed(
+                groups, timeout_s=timeout_s, retries=retries,
+                backoff_base=backoff_base, checks=checks, faults=faults,
+                watchdog=watchdog, progress=progress, telemetry=telemetry,
+                **(dist_options or {}))
         report.failures = sorted(failures, key=lambda f: f.key)
         report.interrupted = interrupted
     elif timeout_s is not None:
-        successes, failures, interrupted = run_supervised(
-            pending, jobs=jobs, timeout_s=timeout_s, retries=retries,
-            backoff_base=backoff_base, checks=checks, faults=faults,
-            watchdog=watchdog, progress=progress, telemetry=telemetry)
+        successes, failures, interrupted, report.simulations = \
+            run_supervised(
+                groups, jobs=jobs, timeout_s=timeout_s, retries=retries,
+                backoff_base=backoff_base, checks=checks, faults=faults,
+                watchdog=watchdog, progress=progress, telemetry=telemetry)
         report.failures = sorted(failures, key=lambda f: f.key)
         report.interrupted = interrupted
     elif len(groups) > 1 and jobs > 1:
@@ -276,6 +280,7 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
         try:
             for records in pool.imap(execute, groups, chunksize=1):
                 successes.extend(records)
+                report.simulations += 1
                 if progress is not None:
                     for record in records:
                         progress(progress_line(record))
@@ -292,6 +297,7 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
             for group in groups:
                 records = execute(group)
                 successes.extend(records)
+                report.simulations += 1
                 if progress is not None:
                     for record in records:
                         progress(progress_line(record))
@@ -310,10 +316,6 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
                       {"metrics": result.metrics,
                        "wall_clock_s": result.wall_clock_s})
         report.results.append(result)
-    settled = ({result.key for result in executed}
-               | {failure.key for failure in report.failures})
-    report.simulations = sum(
-        1 for group in groups if any(cell.key in settled for cell in group))
 
     report.results.sort(key=lambda r: r.key)
     report.elapsed_s = time.perf_counter() - started

@@ -8,10 +8,11 @@ cells into pathological regimes, so the sweep needs to *survive* those
 regimes and report them instead of dying.
 
 This module runs each pending cell in its own worker process under a
-per-cell wall-clock deadline — or rather each pending *group*: cells
-that share a run spec (:func:`~repro.harness.registry.group_cells`)
-share one worker, one simulation and the largest of their budgets, and
-a failed group fails every member:
+per-cell wall-clock deadline — or rather each pending *group*: the
+caller partitions the cells by run spec
+(:func:`~repro.harness.registry.group_cells`), and the cells of a group
+share one worker, one simulation and the largest of their budgets; a
+failed group fails every member:
 
 * a worker that exceeds the deadline is terminated (then killed) and
   the attempt is recorded as ``timeout``;
@@ -44,12 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import InvariantViolation, SimulationStalled
-from repro.harness.registry import (
-    Cell,
-    group_budget,
-    group_cells,
-    run_group,
-)
+from repro.harness.registry import Cell, group_budget, run_group
 
 #: The failure taxonomy, in display order.  ``worker-lost`` is the
 #: distributed backend's kind (see :mod:`repro.harness.dist`): the
@@ -162,6 +158,17 @@ def member_failures(cells: Sequence[Cell], kind: str, message: str,
                           attempt_log=list(attempt_log),
                           shared_with=None if cell.key == leader else leader)
             for cell in cells]
+
+
+def runs_settled(successes: Sequence[SuccessRecord],
+                 failures: Sequence[FailureRecord]) -> int:
+    """How many group runs settled *successes* and *failures*.
+
+    Every settled group has exactly one record with no ``shared_with``
+    (its leader's), whether it succeeded or was quarantined.
+    """
+    return sum(1 for record in (*successes, *failures)
+               if record.shared_with is None)
 
 
 def progress_line(record) -> str:
@@ -291,7 +298,7 @@ class _Running:
         self.budget = budget
 
 
-def run_supervised(cells: Sequence[Cell], jobs: int,
+def run_supervised(groups: Sequence[Tuple[Cell, ...]], jobs: int,
                    timeout_s: Optional[float] = DEFAULT_TIMEOUT_S,
                    retries: int = DEFAULT_RETRIES,
                    backoff_base: float = DEFAULT_BACKOFF_BASE,
@@ -299,12 +306,16 @@ def run_supervised(cells: Sequence[Cell], jobs: int,
                    watchdog: Any = False,
                    progress: Optional[Callable[[str], None]] = None,
                    telemetry: Optional[str] = None,
-                   ) -> Tuple[List[SuccessRecord], List[FailureRecord], bool]:
-    """Execute *cells* under supervision; never raises for a cell.
+                   ) -> Tuple[List[SuccessRecord], List[FailureRecord],
+                              bool, int]:
+    """Execute *groups* under supervision; never raises for a cell.
 
-    Returns ``(successes, failures, interrupted)`` where each success
-    is a :class:`SuccessRecord` and each failure a finalized
-    :class:`FailureRecord`.  Every input cell appears in exactly one of
+    Each group is a tuple of cells sharing one run spec (see
+    :func:`~repro.harness.registry.group_cells`), run as one task.
+    Returns ``(successes, failures, interrupted, simulations)`` where
+    each success is a :class:`SuccessRecord`, each failure a finalized
+    :class:`FailureRecord`, and ``simulations`` the number of groups
+    whose run settled.  Every input cell appears in exactly one of
     the two lists — unless the sweep was interrupted (``SIGINT``), in
     which case in-flight and not-yet-started cells appear in neither:
     the drain path kills running workers, keeps everything already
@@ -328,7 +339,7 @@ def run_supervised(cells: Sequence[Cell], jobs: int,
 
         sink = TelemetrySink(telemetry, run_id="supervisor")
     ctx = _mp_context()
-    ready: List[_Task] = [_Task(group) for group in group_cells(cells)]
+    ready: List[_Task] = [_Task(tuple(group)) for group in groups]
     ready.reverse()               # pop() from the end preserves order
     waiting: List[_Task] = []     # backoff gate not yet open
     running: List[_Running] = []
@@ -452,7 +463,8 @@ def run_supervised(cells: Sequence[Cell], jobs: int,
         if sink is not None:
             sink.close()
 
-    return successes, failures, interrupted
+    return (successes, failures, interrupted,
+            runs_settled(successes, failures))
 
 
 def _supervise_loop(ready, waiting, running, jobs, launch, reap, kill) -> None:

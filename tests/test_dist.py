@@ -30,6 +30,7 @@ from repro.harness.dist.master import run_distributed
 from repro.harness.registry import (
     Cell,
     cell_budget,
+    group_cells,
     register_timeout_hint,
     timeout_hint,
 )
@@ -131,8 +132,9 @@ class TestProtocol:
 class TestLeaseTable:
     def _table(self, cells=2, timeout_s=10.0, retries=1, **kw):
         cs = [chaos("ok", seed=i) for i in range(cells)]
-        return LeaseTable(cs, timeout_s=timeout_s, retries=retries,
-                          backoff_base=0.05, lease_grace_s=1.0, **kw)
+        return LeaseTable(group_cells(cs), timeout_s=timeout_s,
+                          retries=retries, backoff_base=0.05,
+                          lease_grace_s=1.0, **kw)
 
     def test_grants_longest_declared_budget_first(self):
         # Longest-first packing: a 1,000-flow cell granted FIFO-last
@@ -142,8 +144,8 @@ class TestLeaseTable:
         small = [chaos("ok", seed=i) for i in range(2)]      # 10s default
         big = Cell.make("many_flows", flows=1000, seed=0)     # 1200s hint
         medium = Cell.make("many_flows", flows=200, seed=0)   # 240s hint
-        table = LeaseTable(small + [medium, big], timeout_s=10.0,
-                           retries=0, lease_grace_s=1.0)
+        table = LeaseTable(group_cells(small + [medium, big]),
+                           timeout_s=10.0, retries=0, lease_grace_s=1.0)
         granted = [table.grant(f"w{i}", now=0.0).task.cell
                    for i in range(4)]
         assert granted[0] == big
@@ -153,7 +155,7 @@ class TestLeaseTable:
 
     def test_unsupervised_queue_keeps_submission_order(self):
         cells = [chaos("ok", seed=i) for i in range(3)]
-        table = LeaseTable(cells, timeout_s=None, retries=0)
+        table = LeaseTable(group_cells(cells), timeout_s=None, retries=0)
         assert [t.cell for t in table.pending] == cells
 
     def test_grant_sizes_deadline_from_budget_plus_grace(self):
@@ -257,7 +259,7 @@ class TestTimeoutHints:
         assert cell_budget(cell, 500.0) == 500.0
 
     def test_lease_budget_uses_the_hint(self):
-        table = LeaseTable([Cell.make("many_flows", flows=1000, seed=0)],
+        table = LeaseTable([(Cell.make("many_flows", flows=1000, seed=0),)],
                            timeout_s=120.0, retries=0, lease_grace_s=2.0)
         lease = table.grant("w1", now=0.0)
         assert lease.budget_s == pytest.approx(1200.0)
@@ -315,7 +317,7 @@ class TestTimeoutHints:
         register_timeout_hint("badhint2", lambda params: float("nan"))
         try:
             with pytest.raises(ReproError, match="badhint2"):
-                LeaseTable([Cell.make("badhint2", seed=0)],
+                LeaseTable([(Cell.make("badhint2", seed=0),)],
                            timeout_s=10.0, retries=0)
         finally:
             unregister_experiment("badhint2")
@@ -395,9 +397,9 @@ class TestJournal:
 class TestDistExecution:
     def test_clean_sweep_records_worker_provenance(self):
         cells = [chaos("ok", seed=s) for s in range(4)]
-        ok, fail, interrupted = run_distributed(
-            cells, timeout_s=30.0, retries=1, workers=2, preload=PRELOAD,
-            **FAST)
+        ok, fail, interrupted, _ = run_distributed(
+            group_cells(cells), timeout_s=30.0, retries=1, workers=2,
+            preload=PRELOAD, **FAST)
         assert not fail and not interrupted
         assert sorted(r.key for r in ok) == sorted(c.key for c in cells)
         assert all(r.worker for r in ok)
@@ -405,9 +407,9 @@ class TestDistExecution:
 
     def test_os_exit_mid_cell_is_worker_lost_and_siblings_complete(self):
         cells = [chaos("exit", seed=0), chaos("ok", seed=1)]
-        ok, fail, _ = run_distributed(
-            cells, timeout_s=30.0, retries=1, workers=2, preload=PRELOAD,
-            **FAST)
+        ok, fail, _, _ = run_distributed(
+            group_cells(cells), timeout_s=30.0, retries=1, workers=2,
+            preload=PRELOAD, **FAST)
         assert [r.key for r in ok] == [chaos("ok", seed=1).key]
         (failure,) = fail
         assert failure.kind == "worker-lost"
@@ -416,9 +418,9 @@ class TestDistExecution:
 
     def test_flaky_cell_retries_on_deterministic_backoff(self, tmp_path):
         cell = chaos("flaky", seed=0, scratch=str(tmp_path))
-        ok, fail, _ = run_distributed(
-            [cell], timeout_s=30.0, retries=1, workers=1, preload=PRELOAD,
-            **FAST)
+        ok, fail, _, _ = run_distributed(
+            group_cells([cell]), timeout_s=30.0, retries=1, workers=1,
+            preload=PRELOAD, **FAST)
         assert not fail
         (record,) = ok
         assert record.attempts == 2
@@ -429,9 +431,9 @@ class TestDistExecution:
 
     def test_sleep_past_lease_budget_expires_as_timeout(self):
         cells = [chaos("sleep", delay=30.0, seed=0)]
-        ok, fail, _ = run_distributed(
-            cells, timeout_s=0.5, retries=0, workers=1, preload=PRELOAD,
-            **FAST)
+        ok, fail, _, _ = run_distributed(
+            group_cells(cells), timeout_s=0.5, retries=0, workers=1,
+            preload=PRELOAD, **FAST)
         assert not ok
         (failure,) = fail
         assert failure.kind == "timeout"
@@ -440,9 +442,9 @@ class TestDistExecution:
     def test_heartbeat_silence_is_worker_lost(self):
         cells = [chaos("stop", seed=0)]                # SIGSTOPs itself
         started = time.monotonic()
-        ok, fail, _ = run_distributed(
-            cells, timeout_s=60.0, retries=0, workers=1, preload=PRELOAD,
-            **FAST)
+        ok, fail, _, _ = run_distributed(
+            group_cells(cells), timeout_s=60.0, retries=0, workers=1,
+            preload=PRELOAD, **FAST)
         assert not ok
         (failure,) = fail
         assert failure.kind == "worker-lost"
@@ -463,8 +465,8 @@ class TestDistExecution:
 
     def test_degrades_to_local_pool_when_no_worker_reachable(self):
         cells = [chaos("ok", seed=s) for s in range(2)]
-        ok, fail, interrupted = run_distributed(
-            cells, timeout_s=30.0, retries=0, workers=0,
+        ok, fail, interrupted, _ = run_distributed(
+            group_cells(cells), timeout_s=30.0, retries=0, workers=0,
             connect_timeout_s=0.3, fallback_jobs=2)
         assert not fail and not interrupted
         assert sorted(r.key for r in ok) == sorted(c.key for c in cells)
@@ -504,13 +506,13 @@ class TestDistExecution:
 
 _KILL_DRIVER = """\
 import sys
-from repro.harness.registry import Cell
+from repro.harness.registry import Cell, group_cells
 from repro.harness.dist.master import run_distributed
 
 cells = [Cell.make("dist_chaos", mode="ok", delay=0.4, seed=s)
          for s in range(8)]
-ok, fail, interrupted = run_distributed(
-    cells, timeout_s=30.0, retries=1, workers=1,
+ok, fail, interrupted, _ = run_distributed(
+    group_cells(cells), timeout_s=30.0, retries=1, workers=1,
     journal=sys.argv[1], src_hash="kill-test",
     preload=["repro.harness.dist.chaos"],
     heartbeat_interval_s=0.1, heartbeat_misses=4, backoff_base=0.01)
@@ -555,11 +557,13 @@ class TestKillAndResume:
         assert 2 <= replayed < 8
 
         cells = [chaos("ok", delay=0.4, seed=s) for s in range(8)]
-        ok, fail, interrupted = run_distributed(
-            cells, timeout_s=30.0, retries=1, workers=1,
+        ok, fail, interrupted, runs = run_distributed(
+            group_cells(cells), timeout_s=30.0, retries=1, workers=1,
             journal=journal, resume=True, src_hash="kill-test",
             preload=PRELOAD, **FAST)
         assert not fail and not interrupted
+        # Journal-served results ran nothing in this call.
+        assert runs == 8 - replayed
         assert sorted(r.key for r in ok) == sorted(c.key for c in cells)
         # Metrics are identical whether served from the journal or
         # recomputed — the resumed run is indistinguishable.
@@ -567,37 +571,38 @@ class TestKillAndResume:
             assert record.metrics["value"] == float(
                 record.cell.as_dict()["seed"])
         # Resuming again serves everything from the journal.
-        ok2, fail2, _ = run_distributed(
-            cells, timeout_s=30.0, retries=1, workers=1,
+        ok2, fail2, _, runs2 = run_distributed(
+            group_cells(cells), timeout_s=30.0, retries=1, workers=1,
             journal=journal, resume=True, src_hash="kill-test",
             preload=PRELOAD, **FAST)
-        assert len(ok2) == 8 and not fail2
+        assert len(ok2) == 8 and not fail2 and runs2 == 0
 
     def test_resume_refuses_wrong_src_hash(self, tmp_path):
         journal = str(tmp_path / "run.journal")
         with journal_mod.RunJournal(journal) as handle:
             handle.record("run.start", src_hash="other-tree")
         with pytest.raises(ReproError, match="different"):
-            run_distributed([chaos("ok", seed=0)], timeout_s=5.0,
-                            retries=0, workers=0, journal=journal,
-                            resume=True, src_hash="this-tree")
+            run_distributed(group_cells([chaos("ok", seed=0)]),
+                            timeout_s=5.0, retries=0, workers=0,
+                            journal=journal, resume=True,
+                            src_hash="this-tree")
 
     def test_resume_requires_existing_journal(self, tmp_path):
         with pytest.raises(ReproError, match="does not exist"):
-            run_distributed([chaos("ok", seed=0)], timeout_s=5.0,
-                            retries=0, workers=0,
+            run_distributed(group_cells([chaos("ok", seed=0)]),
+                            timeout_s=5.0, retries=0, workers=0,
                             journal=str(tmp_path / "missing.journal"),
                             resume=True)
 
 
 _SIGINT_DRIVER = """\
-from repro.harness.registry import Cell
+from repro.harness.registry import Cell, group_cells
 from repro.harness.dist.master import run_distributed
 
 cells = [Cell.make("dist_chaos", mode="ok", delay=0.4, seed=s)
          for s in range(20)]
-ok, fail, interrupted = run_distributed(
-    cells, timeout_s=30.0, retries=1, workers=1,
+ok, fail, interrupted, _ = run_distributed(
+    group_cells(cells), timeout_s=30.0, retries=1, workers=1,
     preload=["repro.harness.dist.chaos"],
     heartbeat_interval_s=0.1, heartbeat_misses=4, backoff_base=0.01,
     progress=lambda line: print("P " + line, flush=True))
@@ -648,8 +653,8 @@ class TestDrain:
                 fired.append(line)
                 raise KeyboardInterrupt
 
-        ok, fail, interrupted = run_supervised(
-            cells, jobs=1, timeout_s=60.0, retries=0,
+        ok, fail, interrupted, _ = run_supervised(
+            group_cells(cells), jobs=1, timeout_s=60.0, retries=0,
             progress=interrupt_once)
         assert interrupted and not fail
         assert 1 <= len(ok) < len(cells)

@@ -192,6 +192,28 @@ class TestRunSpecs:
             assert {r.key: r.shared_with for r in report.results
                     if r.shared_with} == SHARED_MEMBERS, backend
 
+    def test_replaced_run_cell_sees_every_cell(self, monkeypatch):
+        # A per-cell wrapper (a profiler keeping one ledger per cell)
+        # replaces run_cell; every cell then runs on its own, through it.
+        from repro.harness import registry
+
+        cells = all_cells(quick=True, experiments=SHARED_SLICE)
+        original = registry.run_cell
+        seen = []
+
+        def wrapper(cell, *args, **kwargs):
+            seen.append(cell.key)
+            return original(cell, *args, **kwargs)
+
+        monkeypatch.setattr(registry, "run_cell", wrapper)
+        assert group_cells(cells) == [(cell,) for cell in cells]
+        report = run_cells(cells, jobs=1)
+        assert sorted(seen) == sorted(cell.key for cell in cells)
+        assert report.simulations == len(cells)
+        assert not any(r.shared_with for r in report.results)
+        monkeypatch.undo()
+        assert len(group_cells(cells)) == len(cells) - 2
+
     def test_grouped_run_caches_every_cell(self, tmp_path):
         cache = ResultCache(tmp_path, "h")
         cells = all_cells(quick=True, experiments=SHARED_SLICE)

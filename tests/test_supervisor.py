@@ -515,7 +515,8 @@ class TestSharedRunFailures:
         assert group_budget((self.A, self.B), 0.5) == 1.5
         assert group_budget((self.A,), 0.5) == 0.5
         assert group_budget((self.A, self.B), None) is None
-        table = LeaseTable([self.A, self.B], timeout_s=0.5, retries=0)
+        table = LeaseTable(group_cells([self.A, self.B]), timeout_s=0.5,
+                           retries=0)
         lease = table.grant("w1", now=0.0)
         assert lease.task.cells == (self.A, self.B)
         assert lease.budget_s == 1.5
