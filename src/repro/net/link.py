@@ -120,14 +120,13 @@ class Channel:
         self.in_transit += 1
         # The two hottest schedule sites in the simulator inline the
         # anonymous-event push (same (time, seq) bookkeeping as
-        # Simulator.schedule_anon, so ordering is bit-identical); the
-        # slow path keeps the engine call so its heap stays Event-typed.
+        # Simulator.schedule_anon, so ordering is bit-identical).
         # With no parked buckets (_far_count == 0) a heap push is
         # always order-safe (_far_bound is inf), so the engine's
         # wheel-activation threshold is deliberately not re-checked
         # here: parking only ever *starts* at the engine's own push
         # sites, and these near-future link events would not park.
-        if sim._fast and not sim._far_count:
+        if not sim._far_count:
             seq = sim._seq
             sim._seq = seq + 1
             sim._live += 1
@@ -135,19 +134,17 @@ class Channel:
             if time > sim._heap_max:
                 sim._heap_max = time
             _heappush(sim._heap, (time, seq, self._tx_done_b, (packet,)))
-        elif sim._fast:
+        else:
             # Calendar wheel active: route through the engine so the
             # parking decision stays in one place.
             sim.schedule_anon(packet.size / self.bandwidth,
                               self._tx_done_b, packet)
-        else:
-            self._schedule(packet.size / self.bandwidth, self._tx_done, packet)
 
     def _tx_done(self, packet: Packet) -> None:
         # The wire is free as soon as the last bit leaves; the packet
         # arrives one propagation delay later.
         sim = self.sim
-        if sim._fast and not sim._far_count:
+        if not sim._far_count:
             seq = sim._seq
             sim._seq = seq + 1
             sim._live += 1
@@ -155,10 +152,8 @@ class Channel:
             if time > sim._heap_max:
                 sim._heap_max = time
             _heappush(sim._heap, (time, seq, self._deliver_fn, (packet,)))
-        elif sim._fast:
-            sim.schedule_anon(self.delay, self._deliver_fn, packet)
         else:
-            self._schedule(self.delay, self._deliver_fn, packet)
+            sim.schedule_anon(self.delay, self._deliver_fn, packet)
         # Empty-queue fast exit: skip the poll round-trip.  Tests patch
         # offer, never poll, so reading the deque directly makes the
         # same decision poll() would.
@@ -402,9 +397,8 @@ class EthernetLan:
         checker = checks_runtime.active()
         if checker is not None:
             checker.register_lan(self)
-        # Same scheduler binding as Channel; queue methods stay late-
+        # Prebound callbacks as in Channel; queue methods stay late-
         # bound (they are a patch seam for targeted-drop tests).
-        self._schedule = sim.schedule_anon
         self._tx_done_b = self._tx_done
         self._deliver_b = self._deliver
 
@@ -429,7 +423,7 @@ class EthernetLan:
             self._busy = True
             self.in_transit += 1
             self.bypassed += 1
-            if sim._fast and not sim._far_count:
+            if not sim._far_count:
                 seq = sim._seq
                 sim._seq = seq + 1
                 sim._live += 1
@@ -438,12 +432,9 @@ class EthernetLan:
                     sim._heap_max = time
                 _heappush(sim._heap,
                           (time, seq, self._tx_done_b, (packet, dst_node)))
-            elif sim._fast:
+            else:
                 sim.schedule_anon(packet.size / self.bandwidth,
                                   self._tx_done_b, packet, dst_node)
-            else:
-                self._schedule(packet.size / self.bandwidth, self._tx_done,
-                               packet, dst_node)
             return True
         # The dst FIFO mirrors the medium queue entry for entry.  The
         # medium is unbounded so offers normally always succeed, but a
@@ -461,7 +452,7 @@ class EthernetLan:
         self._busy = True
         self.in_transit += 1
         # Inline anonymous-event push; see Channel._transmit_next.
-        if sim._fast and not sim._far_count:
+        if not sim._far_count:
             seq = sim._seq
             sim._seq = seq + 1
             sim._live += 1
@@ -471,16 +462,13 @@ class EthernetLan:
             _heappush(sim._heap,
                       (time, seq, self._tx_done_b,
                        (packet, self._dsts.popleft())))
-        elif sim._fast:
+        else:
             sim.schedule_anon(packet.size / self.bandwidth,
                               self._tx_done_b, packet, self._dsts.popleft())
-        else:
-            self._schedule(packet.size / self.bandwidth, self._tx_done,
-                           packet, self._dsts.popleft())
 
     def _tx_done(self, packet: Packet, dst: "Node") -> None:
         sim = self.sim
-        if sim._fast and not sim._far_count:
+        if not sim._far_count:
             seq = sim._seq
             sim._seq = seq + 1
             sim._live += 1
@@ -488,10 +476,8 @@ class EthernetLan:
             if time > sim._heap_max:
                 sim._heap_max = time
             _heappush(sim._heap, (time, seq, self._deliver_b, (packet, dst)))
-        elif sim._fast:
-            sim.schedule_anon(self.latency, self._deliver_b, packet, dst)
         else:
-            self._schedule(self.latency, self._deliver, packet, dst)
+            sim.schedule_anon(self.latency, self._deliver_b, packet, dst)
         # The dst FIFO is in lockstep with the medium queue, so an
         # empty _dsts means nothing is queued: skip the poll call.
         if self._dsts:

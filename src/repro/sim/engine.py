@@ -20,20 +20,21 @@ Hot path
 --------
 
 Millions of events per run means the scheduler's constant factors
-dominate wall clock, so the default ("fast") engine:
+dominate wall clock, so the engine:
 
-* stores ``(time, seq, event)`` tuples in the heap, so ``heapq``
-  compares C tuples instead of calling ``Event.__lt__`` — ``seq`` is
-  unique, so the comparison never reaches the event object;
+* stores ``(time, seq, event)`` tuples in the heap (``(time, seq, fn,
+  args)`` for anonymous events), so ``heapq`` compares C tuples —
+  ``seq`` is unique, so the comparison never reaches the event object;
 * recycles :class:`Event` objects through a free list, cutting
-  allocator churn on the schedule/fire cycle.
+  allocator churn on the schedule/fire cycle;
+* dispatches from a bare loop when no instrument is attached and from
+  one hooked loop otherwise; both order and count events identically.
 
-Both changes preserve execution order bit-for-bit: ordering is
-``(time, seq)`` either way.  The pre-optimization engine survives as
-the *slow path* — set ``REPRO_ENGINE_SLOWPATH=1`` before constructing
-a :class:`Simulator` to get an object heap ordered by
-``Event.__lt__`` with a fresh allocation per event.  The determinism
-suite runs the same cell on both paths and asserts identical results.
+Execution order is ``(time, seq)``.  The engine differential
+(``tests/test_engine_differential.py``) replays random scheduling
+programs against a plain ``(time, seq)`` reference scheduler, and
+``tests/test_dispatch_digest.py`` pins the dispatch sequence of two
+paper cells.
 
 Far-horizon calendar overflow
 -----------------------------
@@ -43,7 +44,7 @@ population (packet transmissions, deliveries), but thousand-flow runs
 also carry thousands of *far* events — conversation start times and
 think-time timers seconds in the future — and every one of them
 inflates each ``heappush``/``heappop`` along the way.  Above a
-live-event threshold the fast path therefore parks far events in
+live-event threshold the engine therefore parks far events in
 calendar buckets (one unsorted list per ``_wheel_width``-second
 epoch) and only heapifies a bucket when the heap drains down to it:
 O(1) insertion for the far population, and the heap stays sized to
@@ -60,11 +61,10 @@ rather than enter the heap, so the heap can never leapfrog a parked
 entry.  Buckets are merged back through ``heapify``, where ``(time,
 seq)`` uniqueness restores the exact global order.  Below the
 threshold (every quick-sweep cell) no event is ever parked and the
-engine is the plain tuple heap.
-``REPRO_WHEEL_THRESHOLD``/``REPRO_WHEEL_WIDTH`` override the
-activation point and bucket width; the property suite forces the
-threshold to zero to cross-check dispatch order against the slow
-path.
+engine is the plain tuple heap.  :data:`WHEEL_THRESHOLD` and
+:data:`WHEEL_WIDTH` fix the activation point and bucket width; the
+engine differential patches the threshold to zero to cross-check the
+wheel's dispatch order against the reference scheduler.
 
 Event-handle contract: an :class:`Event` returned by ``schedule`` is
 only a valid handle until it fires.  Cancelling after the callback ran
@@ -78,7 +78,6 @@ from __future__ import annotations
 
 import gc
 import heapq
-import os
 from typing import Any, Callable, List, Optional
 
 from repro.checks import runtime as checks_runtime
@@ -92,44 +91,22 @@ from repro.sim import watchdog as watchdog_runtime
 _last_simulator: Optional["Simulator"] = None
 
 _heappush = heapq.heappush
+_INF = float("inf")
 
 #: Upper bound on the event free list.  Steady-state simulations churn
 #: far fewer live events than this; the cap only bounds memory after a
 #: transient burst of cancellations.
 _POOL_MAX = 4096
 
-#: Environment variable selecting the seed-equivalent slow path.
-SLOWPATH_ENV = "REPRO_ENGINE_SLOWPATH"
-
 #: Live-event count above which far events overflow into calendar
 #: buckets.  Small cells (the whole quick sweep) never cross this, so
 #: their scheduling is byte-for-byte the plain tuple heap.
-WHEEL_THRESHOLD_ENV = "REPRO_WHEEL_THRESHOLD"
-_DEFAULT_WHEEL_THRESHOLD = 256
+WHEEL_THRESHOLD = 256
 
 #: Calendar bucket width in simulated seconds.  Near events (within
 #: the current epoch or below ``_heap_max``) always go to the heap,
 #: so the width only tunes how coarsely the far population is binned.
-WHEEL_WIDTH_ENV = "REPRO_WHEEL_WIDTH"
-_DEFAULT_WHEEL_WIDTH = 1.0
-
-
-def _wheel_threshold() -> int:
-    raw = os.environ.get(WHEEL_THRESHOLD_ENV, "")
-    return int(raw) if raw else _DEFAULT_WHEEL_THRESHOLD
-
-
-def _wheel_width() -> float:
-    raw = os.environ.get(WHEEL_WIDTH_ENV, "")
-    width = float(raw) if raw else _DEFAULT_WHEEL_WIDTH
-    if width <= 0:
-        raise SimulationError(f"{WHEEL_WIDTH_ENV} must be positive")
-    return width
-
-
-def slow_path_requested() -> bool:
-    """True when the environment asks for the pre-optimization engine."""
-    return os.environ.get(SLOWPATH_ENV, "") not in ("", "0")
+WHEEL_WIDTH = 1.0
 
 
 def last_simulator() -> Optional["Simulator"]:
@@ -178,14 +155,6 @@ class Event:
                 self._sim._live -= 1
                 self._sim = None
 
-    def __lt__(self, other: "Event") -> bool:
-        # heapq needs a total order; (time, seq) is unique per event.
-        # Only exercised by the slow path — the fast path's heap holds
-        # (time, seq, event) tuples that never compare beyond seq.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, seq={self.seq}, {state})"
@@ -196,35 +165,32 @@ class Simulator:
 
     The simulator owns the virtual clock (:attr:`now`, in seconds) and
     an event heap.  ``run()`` pops events in (time, insertion-order)
-    order until the heap empties, a time horizon passes, or an event
-    limit is hit.
+    order until the heap empties or a time horizon passes.
     """
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        # Fast path: list of (time, seq, Event).  Slow path: list of
-        # Event ordered by Event.__lt__.  Never mixed — the path is
-        # fixed at construction.
+        # (time, seq, Event) for handled events, (time, seq, fn, args)
+        # for anonymous ones.
         self._heap: List[Any] = []
         self._seq: int = 0
         self._live: int = 0
         self._events_processed: int = 0
         self._running = False
-        self._fast = not slow_path_requested()
         self._pool: List[Event] = []
-        # Far-horizon calendar overflow (fast path only; see the
-        # module docstring).  ``_far`` maps epoch index -> unsorted
-        # list of heap entries; ``_heap_max`` is the largest timestamp
-        # pushed onto the heap since it last drained, the safety bound
-        # that keeps parked entries strictly after every heap entry.
+        # Far-horizon calendar overflow (see the module docstring).
+        # ``_far`` maps epoch index -> unsorted list of heap entries;
+        # ``_heap_max`` is the largest timestamp pushed onto the heap
+        # since it last drained, the safety bound that keeps parked
+        # entries strictly after every heap entry.
         self._far: dict = {}
         self._far_count: int = 0
         self._epoch: int = 0
         self._heap_max: float = 0.0
-        self._far_bound: float = float("inf")
+        self._far_bound: float = _INF
         self._far_peak: int = 0
-        self._wheel_threshold: int = _wheel_threshold()
-        self._wheel_width: float = _wheel_width()
+        self._wheel_threshold: int = WHEEL_THRESHOLD
+        self._wheel_width: float = WHEEL_WIDTH
         # Bound at construction so the run loop pays one attribute
         # test when checking/profiling is off (see repro.checks.runtime
         # and repro.perf.runtime).
@@ -255,51 +221,14 @@ class Simulator:
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule *fn(*args)* to run *delay* seconds from now.
 
-        Negative delays are rejected: an event in the past would break
-        the monotone-clock invariant.
+        Negative delays are rejected (an event in the past would break
+        the monotone-clock invariant), and so are NaN and infinite
+        ones, which have no place in the ``(time, seq)`` order.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule event {delay}s in the past")
-        # _push inlined: this is the single hottest entry point (one
-        # call per event), and the extra frame is measurable.
-        time = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        self._live += 1
-        if self._fast:
-            pool = self._pool
-            if pool:
-                event = pool.pop()
-                event.time = time
-                event.seq = seq
-                event.fn = fn
-                event.args = args
-                event.cancelled = False
-                event._sim = self
-            else:
-                event = Event(time, seq, fn, args, sim=self)
-            if self._far_count or len(self._heap) > self._wheel_threshold:
-                width = self._wheel_width
-                epoch = int(time / width)
-                if (time >= self._far_bound
-                        or (epoch > self._epoch
-                            and epoch * width > self._heap_max)):
-                    self._far.setdefault(epoch, []).append((time, seq, event))
-                    count = self._far_count + 1
-                    self._far_count = count
-                    if count > self._far_peak:
-                        self._far_peak = count
-                    bound = epoch * width
-                    if bound < self._far_bound:
-                        self._far_bound = bound
-                    return event
-            if time > self._heap_max:
-                self._heap_max = time
-            _heappush(self._heap, (time, seq, event))
-        else:
-            event = Event(time, seq, fn, args, sim=self)
-            _heappush(self._heap, event)
-        return event
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"cannot schedule event after delay "
+                                  f"{delay!r}: must be finite and >= 0")
+        return self._push(self.now + delay, fn, args)
 
     def schedule_anon(self, delay: float, fn: Callable[..., Any],
                       *args: Any) -> None:
@@ -307,88 +236,85 @@ class Simulator:
 
         The fire-and-forget variant of :meth:`schedule` for callers
         that drop the returned handle — packet deliveries, transmission
-        completions, one-shot application timers.  The fast path pushes
-        a bare ``(time, seq, fn, args)`` tuple: no :class:`Event`
-        object, no free-list churn, and none of the handle-neutralising
-        stores on dispatch.  Ordering is the same ``(time, seq)`` as
-        handled events, so the two kinds interleave bit-identically
-        with how :meth:`schedule` would have ordered them.
+        completions, one-shot application timers.  It pushes a bare
+        ``(time, seq, fn, args)`` tuple: no :class:`Event` object, no
+        free-list churn, and none of the handle-neutralising stores on
+        dispatch.  Ordering is the same ``(time, seq)`` as handled
+        events, so the two kinds interleave bit-identically with how
+        :meth:`schedule` would have ordered them.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule event {delay}s in the past")
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"cannot schedule event after delay "
+                                  f"{delay!r}: must be finite and >= 0")
         time = self.now + delay
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        if self._fast:
-            if self._far_count or len(self._heap) > self._wheel_threshold:
-                width = self._wheel_width
-                epoch = int(time / width)
-                if (time >= self._far_bound
-                        or (epoch > self._epoch
-                            and epoch * width > self._heap_max)):
-                    self._far.setdefault(epoch, []).append(
-                        (time, seq, fn, args))
-                    count = self._far_count + 1
-                    self._far_count = count
-                    if count > self._far_peak:
-                        self._far_peak = count
-                    bound = epoch * width
-                    if bound < self._far_bound:
-                        self._far_bound = bound
-                    return
-            if time > self._heap_max:
-                self._heap_max = time
-            _heappush(self._heap, (time, seq, fn, args))
-        else:
-            _heappush(self._heap, Event(time, seq, fn, args, sim=self))
+        entry = (time, seq, fn, args)
+        if ((self._far_count or len(self._heap) > self._wheel_threshold)
+                and self._park(entry)):
+            return
+        if time > self._heap_max:
+            self._heap_max = time
+        _heappush(self._heap, entry)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule *fn(*args)* at absolute simulated time *time*."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event at t={time:.6f} before now={self.now:.6f}"
-            )
+        if not self.now <= time < _INF:
+            raise SimulationError(f"cannot schedule event at t={time!r}: "
+                                  f"must be finite and >= now={self.now!r}")
         return self._push(time, fn, args)
 
     def _push(self, time: float, fn: Callable[..., Any], args: tuple) -> Event:
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        if self._fast:
-            pool = self._pool
-            if pool:
-                event = pool.pop()
-                event.time = time
-                event.seq = seq
-                event.fn = fn
-                event.args = args
-                event.cancelled = False
-                event._sim = self
-            else:
-                event = Event(time, seq, fn, args, sim=self)
-            if self._far_count or len(self._heap) > self._wheel_threshold:
-                width = self._wheel_width
-                epoch = int(time / width)
-                if (time >= self._far_bound
-                        or (epoch > self._epoch
-                            and epoch * width > self._heap_max)):
-                    self._far.setdefault(epoch, []).append((time, seq, event))
-                    count = self._far_count + 1
-                    self._far_count = count
-                    if count > self._far_peak:
-                        self._far_peak = count
-                    bound = epoch * width
-                    if bound < self._far_bound:
-                        self._far_bound = bound
-                    return event
-            if time > self._heap_max:
-                self._heap_max = time
-            _heappush(self._heap, (time, seq, event))
+        pool = self._pool
+        if pool:
+            event = pool.pop()
+            event.time = time
+            event.seq = seq
+            event.fn = fn
+            event.args = args
+            event.cancelled = False
+            event._sim = self
         else:
             event = Event(time, seq, fn, args, sim=self)
-            _heappush(self._heap, event)
+        entry = (time, seq, event)
+        if ((self._far_count or len(self._heap) > self._wheel_threshold)
+                and self._park(entry)):
+            return event
+        if time > self._heap_max:
+            self._heap_max = time
+        _heappush(self._heap, entry)
         return event
+
+    def _park(self, entry: tuple) -> bool:
+        """Park heap *entry* in its calendar bucket when order allows.
+
+        Returns False when the entry must go to the heap instead.  An
+        entry parks when it lies at or past the lowest nonempty
+        bucket's boundary (it may not leapfrog a parked entry), or when
+        its epoch is beyond both the loaded epoch and ``_heap_max``
+        (every heap entry then sorts before it).  Only consulted while
+        the wheel is engaged: buckets are populated or the heap is
+        above the threshold.
+        """
+        time = entry[0]
+        width = self._wheel_width
+        epoch = int(time / width)
+        if time < self._far_bound and (epoch <= self._epoch
+                                       or epoch * width <= self._heap_max):
+            return False
+        self._far.setdefault(epoch, []).append(entry)
+        count = self._far_count + 1
+        self._far_count = count
+        if count > self._far_peak:
+            self._far_peak = count
+        bound = epoch * width
+        if bound < self._far_bound:
+            self._far_bound = bound
+        return True
 
     def _advance_epoch(self) -> bool:
         """Load the earliest calendar bucket into the (empty) heap.
@@ -410,8 +336,7 @@ class Simulator:
         heapq.heapify(heap)
         self._epoch = epoch
         self._heap_max = (epoch + 1) * self._wheel_width
-        self._far_bound = (min(far) * self._wheel_width if far
-                           else float("inf"))
+        self._far_bound = min(far) * self._wheel_width if far else _INF
         return True
 
     def _recycle(self, event: Event) -> None:
@@ -432,9 +357,8 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> int:
-        """Process events until the heap drains or a bound is reached.
+    def run(self, until: Optional[float] = None) -> int:
+        """Process events until the heap drains or the horizon passes.
 
         ``until`` is an inclusive time horizon: events scheduled at
         exactly ``until`` still fire.  Returns the number of events
@@ -453,10 +377,7 @@ class Simulator:
         if gc_was_enabled:
             gc.disable()
         try:
-            if self._fast:
-                processed = self._run_fast(until, max_events)
-            else:
-                processed = self._run_slow(until, max_events)
+            processed = self._run_fast(until)
             if (until is not None and self.now < until
                     and not self._has_pending_before(until)):
                 # Advance the clock to the horizon so back-to-back
@@ -474,30 +395,23 @@ class Simulator:
             self.obs.on_run_end(self)
         return processed
 
-    def _run_fast(self, until: Optional[float],
-                  max_events: Optional[int]) -> int:
-        """Tuple-heap dispatch loop with hoisted lookups."""
+    def _run_fast(self, until: Optional[float]) -> int:
+        """The hooked dispatch loop (probe, checker, watchdog, gauges)."""
         checker = self.checker
         perf = self.perf
         watchdog = self.watchdog
         obs = self.obs
-        # Single cached test: with no probe/checker/watchdog/gauges
-        # attached (the overwhelmingly common case) dispatch runs the
-        # hook-free loop, paying zero per-event hook checks.
-        if checker is None and watchdog is None and obs is None:
-            if perf is None:
-                return self._run_fast_bare(until, max_events)
-            # Probe-only (the bench protocol): a dedicated loop with
-            # the probe hook hoisted and the bookkeeping counters
-            # batched, so the profiled number reflects the engine
-            # rather than per-event hook plumbing.
-            return self._run_fast_perf(until, max_events, perf)
+        # Single cached test: with no instrument attached (the
+        # overwhelmingly common case) dispatch runs the hook-free
+        # loop, paying zero per-event hook checks.
+        if (checker is None and watchdog is None and obs is None
+                and perf is None):
+            return self._run_fast_bare(until)
         heap = self._heap
         heappop = heapq.heappop
         pool = self._pool
         pool_append = pool.append
-        horizon = float("inf") if until is None else until
-        limit = float("inf") if max_events is None else max_events
+        horizon = _INF if until is None else until
         processed = 0
         while True:
             if not heap:
@@ -508,44 +422,25 @@ class Simulator:
             if len(entry) == 4:
                 # Anonymous event (time, seq, fn, args): no handle to
                 # neutralise, no cancellation to test, no pool churn.
-                time = entry[0]
-                if time > horizon:
-                    heapq.heappush(heap, entry)
-                    break
-                self._live -= 1
-                if time < self.now:
-                    raise SimulationError(
-                        "event heap yielded an event in the past")
-                self.now = time
-                if checker is not None:
-                    checker.on_event(self)
-                if watchdog is not None:
-                    watchdog.on_event(self)
-                if obs is not None:
-                    obs.on_event(self)
+                event = None
                 fn = entry[2]
-                if perf is not None:
-                    perf.on_event(fn, len(heap))
-                fn(*entry[3])
-                processed += 1
-                self._events_processed += 1
-                if processed >= limit:
-                    break
-                continue
-            event = entry[2]
-            if event.cancelled:
-                event.fn = None
-                event.args = ()
-                if len(pool) < _POOL_MAX:
-                    pool_append(event)
-                continue
+                args = entry[3]
+            else:
+                event = entry[2]
+                if event.cancelled:
+                    event.fn = None
+                    event.args = ()
+                    if len(pool) < _POOL_MAX:
+                        pool_append(event)
+                    continue
+                fn = event.fn
+                args = event.args
             time = entry[0]
             if time > horizon:
                 # Overshot the horizon: the popped event stays pending.
                 heapq.heappush(heap, entry)
                 break
             self._live -= 1
-            event._sim = None
             if time < self.now:
                 raise SimulationError("event heap yielded an event in the past")
             self.now = time
@@ -558,135 +453,27 @@ class Simulator:
                 watchdog.on_event(self)
             if obs is not None:
                 obs.on_event(self)
-            fn = event.fn
-            args = event.args
             if perf is not None:
                 perf.on_event(fn, len(heap))
-            fn(*args)
-            # Recycle only after dispatch (inlined): the callback may
-            # legally cancel the event that invoked it (timer
-            # self-stop), which must hit this dead handle, not a
-            # recycled live one.
-            event.cancelled = True
-            event._sim = None
-            event.fn = None
-            event.args = ()
-            if len(pool) < _POOL_MAX:
-                pool_append(event)
-            processed += 1
-            self._events_processed += 1
-            if processed >= limit:
-                break
-        return processed
-
-    def _run_fast_perf(self, until: Optional[float],
-                       max_events: Optional[int], perf) -> int:
-        """The probe-only dispatch loop (bench protocol).
-
-        Identical event ordering and counting to :meth:`_run_fast`
-        with only the probe attached; the probe's per-event counting
-        is inlined on loop locals and the ``_live``/
-        ``_events_processed`` bookkeeping is batched (safe here: the
-        probe never reads either, and with no gauges/watchdog nothing
-        samples them mid-run).
-        """
-        heap = self._heap
-        heappop = heapq.heappop
-        pool = self._pool
-        pool_append = pool.append
-        # Probe bookkeeping is inlined on locals (the counts dict, the
-        # running heap peak) and folded back in ``finally`` — exactly
-        # what PerfProbe.on_event computes, without a method call per
-        # event.  Safe for the same reason the _live batching is: the
-        # probe is only read after run() returns.
-        counts = perf._raw_counts
-        peak = perf.peak_heap
-        horizon = float("inf") if until is None else until
-        limit = float("inf") if max_events is None else max_events
-        processed = 0
-        fired = 0
-        now = self.now
-        try:
-            while True:
-                if not heap:
-                    if self._far_count and self._advance_epoch():
-                        continue
-                    break
-                entry = heappop(heap)
-                if len(entry) == 4:
-                    time = entry[0]
-                    if time > horizon:
-                        _heappush(heap, entry)
-                        break
-                    if time < now:
-                        raise SimulationError(
-                            "event heap yielded an event in the past")
-                    fired += 1
-                    self.now = now = time
-                    fn = entry[2]
-                    depth = len(heap)
-                    if depth > peak:
-                        peak = depth
-                    try:
-                        counts[fn] += 1
-                    except KeyError:
-                        counts[fn] = 1
-                    except TypeError:
-                        key = getattr(fn, "__qualname__", None) or repr(fn)
-                        counts[key] = counts.get(key, 0) + 1
-                    fn(*entry[3])
-                    processed += 1
-                    if processed >= limit:
-                        break
-                    continue
-                event = entry[2]
-                if event.cancelled:
-                    event.fn = None
-                    event.args = ()
-                    if len(pool) < _POOL_MAX:
-                        pool_append(event)
-                    continue
-                time = entry[0]
-                if time > horizon:
-                    _heappush(heap, entry)
-                    break
-                event._sim = None
-                if time < now:
-                    raise SimulationError(
-                        "event heap yielded an event in the past")
-                fired += 1
-                self.now = now = time
-                fn = event.fn
-                args = event.args
-                depth = len(heap)
-                if depth > peak:
-                    peak = depth
-                try:
-                    counts[fn] += 1
-                except KeyError:
-                    counts[fn] = 1
-                except TypeError:
-                    key = getattr(fn, "__qualname__", None) or repr(fn)
-                    counts[key] = counts.get(key, 0) + 1
+            if event is None:
                 fn(*args)
+            else:
+                event._sim = None
+                fn(*args)
+                # Recycle only after dispatch: the callback may
+                # legally cancel the event that invoked it (timer
+                # self-stop), which must hit this dead handle, not a
+                # recycled live one.
                 event.cancelled = True
                 event.fn = None
                 event.args = ()
                 if len(pool) < _POOL_MAX:
                     pool_append(event)
-                processed += 1
-                if processed >= limit:
-                    break
-        finally:
-            self._live -= fired
-            self._events_processed += processed
-            perf.events += fired
-            if peak > perf.peak_heap:
-                perf.peak_heap = peak
+            processed += 1
+            self._events_processed += 1
         return processed
 
-    def _run_fast_bare(self, until: Optional[float],
-                       max_events: Optional[int]) -> int:
+    def _run_fast_bare(self, until: Optional[float]) -> int:
         """The no-hooks dispatch loop (no probe/checker/watchdog/gauges).
 
         Identical event ordering and counting to :meth:`_run_fast`;
@@ -698,8 +485,7 @@ class Simulator:
         heappop = heapq.heappop
         pool = self._pool
         pool_append = pool.append
-        horizon = float("inf") if until is None else until
-        limit = float("inf") if max_events is None else max_events
+        horizon = _INF if until is None else until
         processed = 0
         fired = 0
         now = self.now
@@ -722,8 +508,6 @@ class Simulator:
                     self.now = now = time
                     entry[2](*entry[3])
                     processed += 1
-                    if processed >= limit:
-                        break
                     continue
                 event = entry[2]
                 if event.cancelled:
@@ -751,43 +535,9 @@ class Simulator:
                 if len(pool) < _POOL_MAX:
                     pool_append(event)
                 processed += 1
-                if processed >= limit:
-                    break
         finally:
             self._live -= fired
             self._events_processed += processed
-        return processed
-
-    def _run_slow(self, until: Optional[float],
-                  max_events: Optional[int]) -> int:
-        """The seed engine's loop, kept verbatim as the reference path."""
-        processed = 0
-        while self._heap:
-            event = self._heap[0]
-            if event.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if until is not None and event.time > until:
-                break
-            heapq.heappop(self._heap)
-            self._live -= 1
-            event._sim = None
-            if event.time < self.now:
-                raise SimulationError("event heap yielded an event in the past")
-            self.now = event.time
-            if self.checker is not None:
-                self.checker.on_event(self)
-            if self.watchdog is not None:
-                self.watchdog.on_event(self)
-            if self.obs is not None:
-                self.obs.on_event(self)
-            if self.perf is not None:
-                self.perf.on_event(event.fn, len(self._heap))
-            event.fn(*event.args)
-            processed += 1
-            self._events_processed += 1
-            if max_events is not None and processed >= max_events:
-                break
         return processed
 
     def _has_pending_before(self, horizon: float) -> bool:
@@ -796,20 +546,16 @@ class Simulator:
         # the simulator's lifetime.  Once the top is live it is the
         # global minimum, so a single comparison answers the question.
         heap = self._heap
-        if self._fast:
-            while True:
-                while heap and len(heap[0]) == 3 and heap[0][2].cancelled:
-                    self._recycle(heapq.heappop(heap)[2])
-                if heap:
-                    return heap[0][0] <= horizon
-                # Heap drained to all-cancelled: pull the next calendar
-                # bucket (if any) and keep pruning.  Amortised O(1) —
-                # each entry is loaded at most once ever.
-                if not (self._far_count and self._advance_epoch()):
-                    return False
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-        return bool(heap) and heap[0].time <= horizon
+        while True:
+            while heap and len(heap[0]) == 3 and heap[0][2].cancelled:
+                self._recycle(heapq.heappop(heap)[2])
+            if heap:
+                return heap[0][0] <= horizon
+            # Heap drained to all-cancelled: pull the next calendar
+            # bucket (if any) and keep pruning.  Amortised O(1) — each
+            # entry is loaded at most once ever.
+            if not (self._far_count and self._advance_epoch()):
+                return False
 
     # ------------------------------------------------------------------
     # Introspection

@@ -20,12 +20,11 @@ subscript in isolation, but end-to-end the typed arrays win ~5% —
 the contiguous C columns keep the protocol scans and per-ACK updates
 cache-resident, and they enforce int-ness at every write.)
 
-On the fast path every connection of a simulator shares one store
+Every connection of a simulator shares one store
 (``store_for(sim)``), so a protocol scan is sequential over packed
-memory.  On the ``REPRO_ENGINE_SLOWPATH`` object path each connection
-allocates a *private* store: state is then per-object again and the
-protocol uses the per-connection method scan, which is what the
-bit-identity differential compares against.
+memory.  The engine differential's ``objects`` mode replays the same
+runs with a per-connection tick sequence in place of the scans, which
+is what keeps the flat layout honest.
 
 Columns use sentinels instead of ``None``: ``-1`` for absent
 ints (``t_rexmt``, ``timing_seq``, ``cam_end``) and NaN for absent

@@ -1,94 +1,167 @@
-"""Property-based engine differential: fast path ≡ slowpath.
+"""Property-based engine differential: production engine ≡ references.
 
-The optimized dispatch machinery — tuple heap, inline link-layer
-pushes, the far-horizon calendar wheel, the hook-free run loops — must
-be *bit-identical* in observable behaviour to the pre-optimization
-object engine kept alive behind ``REPRO_ENGINE_SLOWPATH``.  This suite
-is the property-level half of that gate (the 66-cell quick sweep vs
-``baselines/expected.json`` is the other): Hypothesis drives random
-scenarios through three engine configurations in-process — the env
-vars are read at :class:`Simulator` construction, so no subprocesses
-are needed — and asserts identical fingerprints:
+The optimized machinery — tuple heap, inline link-layer pushes, the
+far-horizon calendar wheel, the hook-free run loop, the flat
+struct-of-arrays timer scans — must be *bit-identical* in observable
+behaviour to the straightforward references kept here.  Hypothesis
+drives random scenarios in-process through these configurations:
 
-* ``fast``      — the default engine, wheel at its stock threshold;
-* ``wheel``     — ``REPRO_WHEEL_THRESHOLD=0``: every far event parks,
-  exercising epoch advancement and bucket merges constantly;
-* ``slowpath``  — the object heap, fresh allocation per event.
+* ``stock``   — the production engine and protocol as shipped;
+* ``wheel``   — ``WHEEL_THRESHOLD`` 0 and 0.25 s buckets: every far
+  event parks, exercising epoch advancement and bucket merges;
+* ``objects`` — ``TCPProtocol._slow_tick``/``_fast_tick`` replaced by
+  a per-connection tick sequence instead of the flat column scan.
 
-``far_events_peak`` is deliberately excluded from every fingerprint:
-the slow path never parks events, so wheel occupancy is the one
-counter allowed to differ by design.
-
-Three scenario families:
-
-1. **Event soups** — random nested scheduling programs mixing
-   ``schedule`` / ``schedule_anon`` / ``schedule_at`` and handle
-   cancellations, with near and far-horizon delays.  Pure scheduler
-   differential, no protocol stack.
-2. **Traced solo transfers** — one bulk transfer with a
-   :class:`ConnectionTracer` attached, under a random fault profile;
-   every tracer row must match exactly.
-3. **Many-flows populations** — 2–64 tcplib conversations over the
-   Figure-5 bottleneck (the tentpole workload), random seeds and
-   fault profiles, compared down to per-connection final stats.
+1. **Event soups** — random nested ``schedule`` / ``schedule_anon`` /
+   ``schedule_at`` programs with cancellations and near and far
+   delays: ``stock`` and ``wheel`` must match
+   :class:`ReferenceScheduler`, a plain ``(time, seq)`` heap.
+2. **Traced solo transfers** under random fault profiles, and
+3. **Many-flows populations** of 2–64 tcplib conversations over the
+   Figure-5 bottleneck (plus the 1,000-flow bench cell): tracer rows
+   or per-connection final stats must match across ``stock``,
+   ``wheel`` and ``objects``.  ``far_events_peak`` is left out, since
+   the forced wheel parks more by design.
 """
 
 import contextlib
-import os
+import heapq
 import random as pyrandom
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import (SLOWPATH_ENV, WHEEL_THRESHOLD_ENV,
-                              WHEEL_WIDTH_ENV, Simulator, last_simulator)
-
-#: The engine configurations every scenario is replayed under.
-MODES = {
-    "fast": {},
-    "wheel": {WHEEL_THRESHOLD_ENV: "0", WHEEL_WIDTH_ENV: "0.25"},
-    "slowpath": {SLOWPATH_ENV: "1"},
-}
-
-_ENGINE_KEYS = (SLOWPATH_ENV, WHEEL_THRESHOLD_ENV, WHEEL_WIDTH_ENV)
+from repro.sim import engine
+from repro.sim.engine import Simulator, last_simulator
+from repro.tcp.connection import State
+from repro.tcp.protocol import TCPProtocol
+from repro.trace.records import Kind
 
 #: Fault profiles drawn per example (None = clean network).
 FAULT_PROFILES = (None, "light", "heavy", "flap")
 
 
+class _RefEvent:
+    __slots__ = ("fn", "args", "cancelled")
+
+    def __init__(self, fn, args):
+        self.fn = fn
+        self.args = args
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class ReferenceScheduler:
+    """The obviously-correct scheduler: one heap ordered by (time, seq)."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.events_processed = 0
+        self._heap = []
+        self._seq = 0
+
+    def schedule_at(self, time, fn, *args):
+        event = _RefEvent(fn, args)
+        heapq.heappush(self._heap, (time, self._seq, event))
+        self._seq += 1
+        return event
+
+    def schedule(self, delay, fn, *args):
+        return self.schedule_at(self.now + delay, fn, *args)
+
+    schedule_anon = schedule
+
+    def cancel(self, event):
+        event.cancel()
+
+    def run(self):
+        while self._heap:
+            time, _, event = heapq.heappop(self._heap)
+            if event.cancelled:
+                continue
+            self.now = time
+            event.cancelled = True  # a fired handle is dead
+            event.fn(*event.args)
+            self.events_processed += 1
+
+
+def _tick_slow(conn):
+    """One 500 ms coarse-timer tick of one connection, object by object."""
+    if conn._state is State.CLOSED:
+        return
+    st, i = conn._st, conn._slot
+    t = st.t_rexmt[i]
+    conn._trace(Kind.TIMER_CHECK, t)
+    if st.timing_seq[i] >= 0:
+        st.timing_ticks[i] += 1
+    if t >= 0:
+        t -= 1
+        st.t_rexmt[i] = t
+        if t <= 0:
+            conn._coarse_timeout()
+    # Zero-window persist with exponential backoff.
+    state = conn._state
+    if ((state is not State.ESTABLISHED and state is not State.CLOSING)
+            or st.peer_wnd[i] != 0
+            or conn.sendbuf.queued_end - st.snd_nxt[i] <= 0):
+        st.persist_shift[i] = 0
+        st.persist_countdown[i] = 0
+    elif st.snd_nxt[i] - st.snd_una[i] > 0:
+        pass  # a probe or data is outstanding: retransmission owns it
+    elif st.persist_countdown[i] > 0:
+        st.persist_countdown[i] -= 1
+    else:
+        conn._persist_fire()
+
+
+def _objects_slow_tick(protocol):
+    for conn in list(protocol._open.values()):
+        # An earlier tick may have closed a later connection.
+        if not conn.is_closed:
+            _tick_slow(conn)
+    if not protocol._open:
+        protocol._stop_timers()
+
+
+def _objects_fast_tick(protocol):
+    for conn in list(protocol._open.values()):
+        if not conn.is_closed and conn._st.delack[conn._slot]:
+            conn.send_ack()
+
+
 @contextlib.contextmanager
-def _engine_env(extra):
-    """Run a block under exactly the engine env vars in *extra*."""
-    saved = {key: os.environ.pop(key, None) for key in _ENGINE_KEYS}
-    os.environ.update(extra)
-    try:
+def _mode(name):
+    """Run a block under one differential configuration."""
+    with pytest.MonkeyPatch.context() as patch:
+        if name == "wheel":
+            patch.setattr(engine, "WHEEL_THRESHOLD", 0)
+            patch.setattr(engine, "WHEEL_WIDTH", 0.25)
+        elif name == "objects":
+            patch.setattr(TCPProtocol, "_slow_tick", _objects_slow_tick)
+            patch.setattr(TCPProtocol, "_fast_tick", _objects_fast_tick)
         yield
-    finally:
-        for key in _ENGINE_KEYS:
-            os.environ.pop(key, None)
-            if saved[key] is not None:
-                os.environ[key] = saved[key]
 
 
 def _replay(fingerprint_fn):
-    """Run *fingerprint_fn* under every mode; assert all agree."""
+    """Run *fingerprint_fn* in every mode; assert all match ``objects``."""
     prints = {}
-    for mode, env in MODES.items():
-        with _engine_env(env):
+    for mode in ("stock", "wheel", "objects"):
+        with _mode(mode):
             prints[mode] = fingerprint_fn()
-    assert prints["fast"] == prints["slowpath"], \
-        "fast path diverged from slowpath"
-    assert prints["wheel"] == prints["slowpath"], \
-        "forced calendar wheel diverged from slowpath"
+    assert prints["stock"] == prints["objects"], \
+        "flat timer scans diverged from the per-connection ticks"
+    assert prints["wheel"] == prints["objects"], \
+        "forced calendar wheel diverged from the objects reference"
 
 
 class TestEventSoupOrder:
     """Random scheduling programs fire in identical order everywhere."""
 
     @staticmethod
-    def _run_soup(program_seed: int, seeds: int, budget: int):
-        sim = Simulator()
+    def _run_soup(sim, program_seed: int, seeds: int, budget: int):
         rng = pyrandom.Random(program_seed)
         fired = []
         live = {}          # handle id -> Event, removed when it fires
@@ -127,13 +200,19 @@ class TestEventSoupOrder:
         sim.run()
         return sim.events_processed, tuple(fired)
 
-    @settings(max_examples=40, deadline=None,
+    @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(program_seed=st.integers(0, 2**32 - 1),
            seeds=st.integers(1, 12),
            budget=st.integers(0, 300))
     def test_dispatch_order_identical(self, program_seed, seeds, budget):
-        _replay(lambda: self._run_soup(program_seed, seeds, budget))
+        reference = self._run_soup(ReferenceScheduler(), program_seed,
+                                   seeds, budget)
+        for mode in ("stock", "wheel"):
+            with _mode(mode):
+                got = self._run_soup(Simulator(), program_seed, seeds,
+                                     budget)
+            assert got == reference, f"{mode} engine diverged from reference"
 
 
 class TestTracedTransferDifferential:
@@ -224,13 +303,13 @@ class TestManyFlowsDifferential:
         _replay(lambda: self._population_fingerprint(flows, seed, cc,
                                                      faults))
 
-    def test_thousand_flow_cell_matches_slowpath(self):
-        """The headline 1,000-flow bench cell, once, fast vs slowpath.
+    def test_thousand_flow_cell_matches_objects(self):
+        """The headline 1,000-flow bench cell, once, in every mode.
 
         Too heavy for a Hypothesis example but exactly the population
-        the calendar wheel exists for, so pin it explicitly.  The
-        ``far_events_peak`` field is stripped: the slow path never
-        parks events.
+        the calendar wheel and the flat timer scans exist for, so pin
+        it explicitly.  ``far_events_peak`` is stripped: the forced
+        wheel parks more events by design.
         """
         from repro.experiments.many_flows import many_flows_metrics
 
